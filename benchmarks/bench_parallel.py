@@ -1,17 +1,14 @@
 """Parallel synthesis engine bench: serial vs pooled vs warm-store execution.
 
-Executes whole bioassays on the 60x30 evaluation chip under four
+Executes whole bioassays on the 60x30 evaluation chip under three
 configurations of the synthesis engine:
 
 * **serial** — no engine; synthesis happens synchronously at MO activation
   (the pre-engine scheduler, byte-identical behaviour);
-* **pooled** — a worker pool with start-of-run pre-synthesis only
-  (``HybridScheduler.presynthesize``; per-cycle prefetch off);
-* **pooled+prefetch** — pre-synthesis plus the scheduler's per-cycle
-  speculative prefetch of soon-to-activate MOs;
-* **warm-store** — pooled+prefetch plus a persistent strategy store that a
-  priming pass has already filled, so (almost) every synthesis is a store
-  hit.
+* **pooled** — a worker pool running the start-of-run pre-synthesis
+  wave (``HybridScheduler.presynthesize``), the engine's only speculation;
+* **warm-store** — pooled plus a persistent strategy store that a priming
+  pass has already filled, so (almost) every synthesis is a store hit.
 
 All configurations run the same chips and simulation seeds; speculation
 changes latency only, so routed cycles must agree — the bench asserts it.
@@ -28,13 +25,12 @@ written as ``BENCH_parallel.json`` at the repository root:
   "configs": {
     "serial": {"mean_s": ..., "runs": [...], "cycles": [...]},
     "pooled": {..., "engine": {...}},
-    "pooled_prefetch": {...},
     "warm_store": {...}
   },
   "batched": {"speedup": 5.1, "per_rj_throughput": ...,
                "batched_throughput": ..., "certified_gap_max": ...,
                "trace_identical": true, "counters": {...}},
-  "speedup_pooled_prefetch": 1.7,
+  "speedup_pooled": 1.0,
   "speedup_warm_store": 6.2
 }
 ```
@@ -46,11 +42,8 @@ result, trace identity of a batched-presynthesis execution, and the
 certified interval gap are *always* asserted (hard failures); the >= 5x
 throughput target is gated under ``--enforce`` at full scale.
 
-The ISSUE's 1.5x pooled+prefetch target assumes a >= 4-core runner; on
-fewer cores the pool cannot beat the serial path and the gate is reported
-but only *enforced* with ``--enforce`` (CI keeps it soft).  The warm-store
-target (5x) holds on any core count because store hits skip synthesis
-entirely.
+The warm-store target (5x) holds on any core count because store hits
+skip synthesis entirely; it is reported, and enforced with ``--enforce``.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_parallel.py`` (honours
 ``REPRO_BENCH_SCALE=quick|full``).
@@ -128,16 +121,13 @@ def execute(graph, chip_seed: int, engine: SynthesisEngine | None,
     return elapsed, result.cycles
 
 
-def run_config(graphs, repeats: int, make_engine, presynth: bool,
-               prefetch: bool) -> dict:
+def run_config(graphs, repeats: int, make_engine, presynth: bool) -> dict:
     """Run every (bioassay, repeat) under one engine configuration."""
     runs, cycles = [], []
     engine_counters: dict[str, int] = {}
     for rep in range(repeats):
         for idx, graph in enumerate(graphs):
             engine = make_engine()
-            if engine is not None:
-                engine.prefetch_enabled = prefetch
             try:
                 elapsed, routed = execute(
                     graph, chip_seed=100 + idx * 17 + rep, engine=engine,
@@ -343,7 +333,7 @@ def run_bench(workers: int) -> dict:
 
     configs: dict[str, dict] = {}
     configs["serial"] = run_config(
-        graphs, repeats, lambda: None, presynth=False, prefetch=False
+        graphs, repeats, lambda: None, presynth=False
     )
     # admission_floor matches the CLI/serve engines: a lone assay on a
     # single-core host skips speculation it cannot overlap, so the pooled
@@ -351,12 +341,7 @@ def run_bench(workers: int) -> dict:
     configs["pooled"] = run_config(
         graphs, repeats,
         lambda: SynthesisEngine(workers=workers, admission_floor=True),
-        presynth=True, prefetch=False,
-    )
-    configs["pooled_prefetch"] = run_config(
-        graphs, repeats,
-        lambda: SynthesisEngine(workers=workers, admission_floor=True),
-        presynth=True, prefetch=True,
+        presynth=True,
     )
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp:
@@ -370,9 +355,9 @@ def run_bench(workers: int) -> dict:
 
         # Priming pass fills the store; only the second (fully warm) pass
         # is measured — the cross-run sweep scenario of EXPERIMENTS.md.
-        run_config(graphs, repeats, warm_engine, presynth=True, prefetch=True)
+        run_config(graphs, repeats, warm_engine, presynth=True)
         configs["warm_store"] = run_config(
-            graphs, repeats, warm_engine, presynth=True, prefetch=True
+            graphs, repeats, warm_engine, presynth=True
         )
 
     for name, cfg in configs.items():
@@ -399,8 +384,6 @@ def run_bench(workers: int) -> dict:
         "configs": configs,
         "batched": batched,
         "speedup_pooled": serial_mean / configs["pooled"]["mean_s"],
-        "speedup_pooled_prefetch":
-            serial_mean / configs["pooled_prefetch"]["mean_s"],
         "speedup_warm_store": serial_mean / configs["warm_store"]["mean_s"],
     }
 
@@ -427,15 +410,13 @@ def main(argv=None) -> int:
         f"{'+'.join(report['bioassays'])}, {report['cores']} cores, "
         f"{report['workers'] or 'auto'} workers (scale={report['scale']})",
     ]
-    for name in ("serial", "pooled", "pooled_prefetch", "warm_store"):
+    for name in ("serial", "pooled", "warm_store"):
         cfg = report["configs"][name]
         lines.append(f"  {name:16s} mean {cfg['mean_s']:7.2f} s"
                      f"  total {cfg['total_s']:7.2f} s")
     batched = report["batched"]
     lines += [
         f"  speedup pooled:          {report['speedup_pooled']:.2f}x",
-        f"  speedup pooled+prefetch: {report['speedup_pooled_prefetch']:.2f}x"
-        f"  (target 1.5x on >=4 cores)",
         f"  speedup warm store:      {report['speedup_warm_store']:.2f}x"
         f"  (target 5x)",
         f"  batched presynthesis ({batched['bioassay']}, "
@@ -449,7 +430,6 @@ def main(argv=None) -> int:
     ]
     emit("bench_parallel", "\n".join(lines))
 
-    cores = report["cores"] or 1
     failed = []
     # Soft regression guard (never enforced): with the admission floor the
     # pooled config must be roughly serial-speed even on one core — a
@@ -461,12 +441,6 @@ def main(argv=None) -> int:
             f"— single-assay pooled regression (admission floor "
             f"ineffective?)",
             file=sys.stderr,
-        )
-    if cores >= 4 and report["speedup_pooled_prefetch"] < 1.5:
-        failed.append(
-            f"pooled+prefetch speedup "
-            f"{report['speedup_pooled_prefetch']:.2f}x < 1.5x on "
-            f"{cores} cores"
         )
     if report["speedup_warm_store"] < 5.0:
         failed.append(

@@ -8,9 +8,8 @@ output droplet) and ordered topologically for the planner and RJ helper.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.bioassay.ops import MO, MOType
 
@@ -26,18 +25,21 @@ class SequencingGraph:
         self._by_name = {mo.name: mo for mo in self.mos}
         if len(self._by_name) != len(self.mos):
             raise ValueError(f"bioassay {self.name!r} has duplicate MO names")
-        self._graph = nx.DiGraph()
+        # Edges are deduplicated: an MO consuming two outputs of one
+        # producer depends on it once.  Successors keep consumer list
+        # order, predecessors keep ``mo.pre`` order.
+        self._pred: dict[str, list[str]] = {}
+        self._succ: dict[str, list[str]] = {mo.name: [] for mo in self.mos}
         for mo in self.mos:
-            self._graph.add_node(mo.name)
-        for mo in self.mos:
-            for pred in mo.pre:
+            preds = list(dict.fromkeys(mo.pre))
+            for pred in preds:
                 if pred not in self._by_name:
                     raise ValueError(
                         f"MO {mo.name!r} references unknown predecessor {pred!r}"
                     )
-                self._graph.add_edge(pred, mo.name)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise ValueError(f"bioassay {self.name!r} has a dependency cycle")
+                self._succ[pred].append(mo.name)
+            self._pred[mo.name] = preds
+        self._order = self._topological_order()
         self._check_consumption()
 
     def _check_consumption(self) -> None:
@@ -65,28 +67,43 @@ class SequencingGraph:
     def mo(self, name: str) -> MO:
         return self._by_name[name]
 
+    def _topological_order(self) -> list[str]:
+        """Kahn's algorithm, taking the smallest list index among ready MOs."""
+        index = {mo.name: i for i, mo in enumerate(self.mos)}
+        missing = {name: len(preds) for name, preds in self._pred.items()}
+        ready = [index[name] for name, n in missing.items() if n == 0]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            name = self.mos[heapq.heappop(ready)].name
+            order.append(name)
+            for succ in self._succ[name]:
+                missing[succ] -= 1
+                if missing[succ] == 0:
+                    heapq.heappush(ready, index[succ])
+        if len(order) != len(self.mos):
+            raise ValueError(f"bioassay {self.name!r} has a dependency cycle")
+        return order
+
     def topological(self) -> list[MO]:
         """MOs in a dependency-respecting order (stable by list position)."""
-        order = list(
-            nx.lexicographical_topological_sort(
-                self._graph, key=lambda n: self._index(n)
-            )
-        )
-        return [self._by_name[n] for n in order]
-
-    def _index(self, name: str) -> int:
-        return next(i for i, mo in enumerate(self.mos) if mo.name == name)
+        return [self._by_name[n] for n in self._order]
 
     def successors(self, name: str) -> list[MO]:
-        return [self._by_name[n] for n in self._graph.successors(name)]
+        return [self._by_name[n] for n in self._succ[name]]
 
     def predecessors(self, name: str) -> list[MO]:
-        return [self._by_name[n] for n in self._graph.predecessors(name)]
+        return [self._by_name[n] for n in self._pred[name]]
 
     @property
     def depth(self) -> int:
-        """Length of the longest dependency chain."""
-        return int(nx.dag_longest_path_length(self._graph)) + 1
+        """Length of the longest dependency chain (in MOs)."""
+        chain: dict[str, int] = {}
+        for name in self._order:
+            chain[name] = 1 + max(
+                (chain[p] for p in self._pred[name]), default=0
+            )
+        return max(chain.values(), default=1)
 
     def count(self, mo_type: MOType) -> int:
         """Number of MOs of a given type."""

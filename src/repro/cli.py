@@ -5,7 +5,7 @@ Commands:
 * ``list`` — the bioassay suite with op counts;
 * ``run`` — execute a bioassay on a sampled chip and print the outcome
   (optionally the wear heatmap); ``--trace``/``--journal``/``--perf``
-  switch on the :mod:`repro.obs` telemetry; ``--workers``/``--prefetch``/
+  switch on the :mod:`repro.obs` telemetry; ``--workers``/
   ``--strategy-cache`` enable the parallel synthesis engine
   (:mod:`repro.engine`); ``--engine-retries``/``--engine-deadline-ms``
   bound its fault tolerance and ``--chaos`` injects deterministic faults
@@ -105,7 +105,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 None if args.strategy_cache == "auto" else args.strategy_cache
             )
         engine = SynthesisEngine(
-            workers=args.workers, store=store, prefetch=args.prefetch,
+            workers=args.workers, store=store,
             retries=args.engine_retries, deadline_ms=args.engine_deadline_ms,
             admission_floor=True,
         )
@@ -371,7 +371,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         serve_workers=args.serve_workers,
         engine_workers=args.workers,
         store_path=args.strategy_cache,
-        prefetch=args.prefetch,
         drain_deadline_s=args.drain_deadline,
         journal_path=args.journal,
         engine_retries=args.engine_retries,
@@ -537,11 +536,8 @@ def _add_run_options(run: argparse.ArgumentParser) -> None:
     run.add_argument("--workers", type=_workers_arg, default=1,
                      help="synthesis worker processes (adaptive router only): "
                           "1 = synchronous (default), 0 = one per core, "
-                          "N>1 = a pool of N")
-    run.add_argument("--prefetch", action=argparse.BooleanOptionalAction,
-                     default=True,
-                     help="speculatively prefetch strategies for MOs about "
-                          "to activate (needs --workers != 1)")
+                          "N>1 = a pool of N that presynthesizes each run's "
+                          "routing jobs as one batch before its first cycle")
     run.add_argument("--strategy-cache", metavar="PATH", nargs="?",
                      const="auto", default=None,
                      help="persist synthesized strategies across runs in a "
@@ -666,9 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--workers", type=_workers_arg, default=1,
                      help="shared synthesis engine worker processes "
                           "(1 = synchronous, 0 = one per core)")
-    srv.add_argument("--prefetch", action=argparse.BooleanOptionalAction,
-                     default=True,
-                     help="speculative prefetch on the shared engine")
     srv.add_argument("--strategy-cache", metavar="PATH", nargs="?",
                      const="auto", default=None,
                      help="shared persistent strategy store; with no PATH, "

@@ -74,8 +74,8 @@ class AdaptiveRouter:
         """``engine`` is an optional :class:`repro.engine.SynthesisEngine`.
 
         When present, plans are served in priority order: in-memory library,
-        completed speculation from the worker pool, persistent store, and
-        finally synchronous synthesis.  Speculation and store only ever
+        completed presynthesis from the engine, persistent store, and
+        finally synchronous synthesis.  Presynthesis and store only ever
         supply strategies that synchronous synthesis would have produced
         for the same (job, health), so the routing decisions are identical
         with and without an engine.
@@ -90,28 +90,14 @@ class AdaptiveRouter:
         self.syntheses = 0
         self.synthesis_seconds = 0.0
 
-    def prefetch(self, job: RoutingJob, health: np.ndarray) -> bool:
-        """Speculatively submit ``(job, health)`` to the engine pool.
-
-        Skips jobs the library already covers; warm-start values are
-        captured now, exactly as a synchronous plan at this moment would.
-        """
-        if self.engine is None or not self.engine.pooled:
-            return False
-        if self.library.contains(job, health):
-            return False
-        return self.engine.submit(
-            job, health, warm_values=self.library.warm_start(job)
-        )
-
     def prefetch_batch(
         self, jobs: "list[RoutingJob]", health: np.ndarray
     ) -> int:
         """Speculatively submit a wave of jobs as one batched engine task.
 
-        The batch counterpart of :meth:`prefetch`: library-covered jobs
-        are filtered out, warm-start values are captured per job exactly
-        as a synchronous plan at this moment would, and the rest ship via
+        Library-covered jobs are filtered out, warm-start values are
+        captured per job exactly as a synchronous plan at this moment
+        would, and the rest ship via
         :meth:`~repro.engine.SynthesisEngine.presynthesize_batch` — one
         pool task for the whole wave (or an in-process batched solve when
         the engine has no pool).  Returns the number of jobs submitted.

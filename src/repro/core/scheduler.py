@@ -130,7 +130,6 @@ class HybridScheduler:
         activation_order: str = "program",
         stall_recovery_threshold: int = 12,
         engine: "object | None" = None,
-        prefetch_horizon: int = 8,
         reconfig: "object | None" = None,
     ) -> None:
         """``resynthesis_latency`` models the hybrid scheme's *asynchronous*
@@ -155,15 +154,13 @@ class HybridScheduler:
         a reroute-style retrial corrective action.
 
         ``engine`` is an optional :class:`repro.engine.SynthesisEngine`
-        shared with the router.  With a pooled engine the scheduler
-        *speculatively prefetches*: each cycle it predicts the routing jobs
-        of MOs whose predecessors are within ``prefetch_horizon`` cycles of
-        completion and submits them to the worker pool, so the strategies
-        are (often) already solved when the MO activates.  Mispredictions
-        are harmless — the activation-time job key simply misses and the
-        router synthesizes synchronously.  With ``engine=None`` (or when
-        ``router`` has no ``prefetch``) the scheduler behaves exactly as
-        before.
+        shared with the router.  The scheduler's only use of it is
+        :meth:`presynthesize`, the start-of-assay wave the caller opts
+        into; every other strategy comes from the router at activation or
+        on a health change (the hybrid scheme of Sec. VI-D).  With
+        ``engine=None`` the scheduler behaves exactly the same, since a
+        presynthesized strategy is the one synchronous synthesis would
+        return.
 
         ``reconfig`` is an optional
         :class:`repro.reconfig.ReconfigPolicy`.  When set, the scheduler
@@ -202,10 +199,6 @@ class HybridScheduler:
         self.engine = engine if engine is not None else getattr(
             router, "engine", None
         )
-        if prefetch_horizon < 0:
-            raise ValueError("prefetch horizon cannot be negative")
-        self.prefetch_horizon = prefetch_horizon
-        self.prefetches = 0
         #: Set once the engine reports permanent degradation (pool gone):
         #: the scheduler keeps planning on the synchronous path unchanged.
         self.engine_degraded_observed = False
@@ -247,7 +240,7 @@ class HybridScheduler:
             self._qmap = self._reconfig.update(health, cycle=self.cycle)
         self._activate_ready(health)
         if not self.failure:
-            self._prefetch(health)
+            self._note_engine_degrade()
         targets: dict[int, Rect] = {}
         moves: dict[int, str] = {}
         for name in self._order:
@@ -269,26 +262,21 @@ class HybridScheduler:
             complete=self.complete,
         )
 
-    # -- speculative prefetch ------------------------------------------------
+    # -- presynthesis -------------------------------------------------------
 
     def presynthesize(self, health: np.ndarray) -> int:
-        """Submit every statically decomposed routing job to the engine pool.
+        """Submit every statically decomposed routing job to the engine.
 
-        The speculative counterpart of the paper's offline pre-synthesis
-        pass: before the first cycle, all the jobs the decomposition already
-        knows about are solved — as one batched engine task when the router
-        supports ``prefetch_batch`` (one pool task for the wave; without a
-        pool the engine runs the batched kernel in-process), per job
-        otherwise — concurrently with the assay starting to execute.  Jobs
-        whose activation-time form differs (rebased starts, routing
-        obstacles) simply miss and fall back to synchronous synthesis.
-        Returns the number of jobs submitted.
+        The counterpart of the paper's pre-synthesis pass: before the first
+        cycle, all the jobs the decomposition already knows about ship as
+        one batched engine task (one pool task for the wave; without a pool
+        the engine runs the batched kernel in-process).  Jobs whose
+        activation-time form differs (rebased starts, routing obstacles)
+        simply miss and fall back to synchronous synthesis.  Returns the
+        number of jobs submitted.
         """
         prefetch_batch = getattr(self.router, "prefetch_batch", None)
-        prefetch = getattr(self.router, "prefetch", None)
-        if self.engine is None or (prefetch_batch is None and (
-            not self.engine.pooled or prefetch is None
-        )):
+        if self.engine is None or prefetch_batch is None:
             return 0
         jobs = [
             job
@@ -297,17 +285,7 @@ class HybridScheduler:
             if not job.is_dispense
         ]
         with obs.span("scheduler.presynthesize"):
-            if prefetch_batch is not None:
-                # One batched engine task for the whole wave — and, unlike
-                # the per-job path, this also works without a pool (the
-                # engine solves the batch in-process).
-                submitted = prefetch_batch(jobs, health)
-            else:
-                submitted = sum(
-                    1 for job in jobs if prefetch(job, health)
-                )
-        self.prefetches += submitted
-        return submitted
+            return prefetch_batch(jobs, health)
 
     def _note_engine_degrade(self) -> None:
         """Record (once) that the engine fell back to the synchronous path.
@@ -328,103 +306,6 @@ class HybridScheduler:
             cycle=self.cycle,
             rebuilds=getattr(self.engine, "rebuilds", 0),
         )
-
-    def _prefetch(self, health: np.ndarray) -> None:
-        """Prefetch strategies for MOs that are about to activate."""
-        prefetch = getattr(self.router, "prefetch", None)
-        if self.engine is not None:
-            self._note_engine_degrade()
-        if (
-            self.engine is None
-            or not self.engine.pooled
-            or not self.engine.prefetch_enabled
-            or prefetch is None
-        ):
-            return
-        for name in self._order:
-            state = self._states[name]
-            if state.phase is MOPhase.INIT:
-                if not all(
-                    self._near_done(p.name)
-                    for p in self.graph.predecessors(name)
-                ):
-                    continue
-                jobs = self._predict_activation_jobs(name)
-            elif (
-                state.phase is MOPhase.OPERATING
-                and state.stage == "splitting"
-                and state.hold_remaining <= self.prefetch_horizon
-            ):
-                # A split's route-out jobs start exactly at the decomposed
-                # patterns, so this prediction is usually exact.
-                mo = self.graph.mo(name)
-                indices = (0, 1) if mo.type is MOType.SPT else (2, 3)
-                jobs = [
-                    self._with_obstacles(state.decomposed.jobs[i], name)
-                    for i in indices
-                ]
-            else:
-                continue
-            for job in jobs:
-                if prefetch(job, health):
-                    self.prefetches += 1
-
-    def _near_done(self, name: str) -> bool:
-        """Whether an MO should finish within the prefetch horizon."""
-        state = self._states[name]
-        if state.phase is MOPhase.DONE:
-            return True
-        horizon = self.prefetch_horizon
-        mo = self.graph.mo(name)
-        if state.phase is MOPhase.OPERATING:
-            if mo.type is MOType.DIS:
-                return state.dispense_remaining <= horizon
-            if mo.type in (MOType.SPT, MOType.DLT):
-                return False  # the split's route-out phase still follows
-            return state.hold_remaining <= horizon
-        if state.phase is MOPhase.ROUTING and state.stage == "route_out":
-            return all(
-                task.droplet_id in self.droplets
-                and self._goal_gap(
-                    self.droplets[task.droplet_id], task.job.goal
-                ) <= horizon
-                for task in state.tasks
-            )
-        return False
-
-    @staticmethod
-    def _goal_gap(rect: Rect, goal: Rect) -> int:
-        """Chebyshev gap between a droplet pattern and its goal region."""
-        dx = max(0, goal.xa - rect.xb, rect.xa - goal.xb)
-        dy = max(0, goal.ya - rect.yb, rect.ya - goal.yb)
-        return max(dx, dy)
-
-    def _predict_activation_jobs(self, name: str) -> list[RoutingJob]:
-        """The routing jobs :meth:`_activate` would build for ``name`` now.
-
-        Mirrors the activation paths without consuming parked droplets:
-        inputs already parked are rebased exactly as activation will; inputs
-        still in flight fall back to the decomposed pattern (a best-effort
-        guess — a mismatch is just a wasted speculation).
-        """
-        mo = self.graph.mo(name)
-        dec = self._states[name].decomposed
-        if mo.type is MOType.DIS or mo.type is MOType.SPT:
-            return []  # no routing on activation (dispense / hold-then-split)
-        if mo.type in (MOType.MIX, MOType.DLT):
-            indices = (0, 1)
-        else:  # OUT, DSC, MAG
-            indices = (0,)
-        jobs: list[RoutingJob] = []
-        for idx in indices:
-            pred = mo.pre[idx]
-            slot = mo.pre_output[idx] if mo.pre_output else 0
-            did = self._parked.get((pred, slot))
-            job = dec.jobs[idx]
-            if did is not None and did in self.droplets:
-                job = self._fit_job(job, self.droplets[did])
-            jobs.append(self._with_obstacles(job, name))
-        return jobs
 
     def sensing_mask(self) -> np.ndarray:
         """The MCs a *selective* scan must cover this cycle.

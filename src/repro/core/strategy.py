@@ -143,7 +143,7 @@ class StrategyLibrary:
     def contains(self, job: RoutingJob, health: np.ndarray) -> bool:
         """Membership check that does not touch the hit/miss counters.
 
-        Used by speculative machinery (prefetch submission) that must not
+        Used by speculative machinery (batch presynthesis) that must not
         pollute the cache statistics with lookups no plan ever asked for.
         """
         return self._key(job, health) in self.entries

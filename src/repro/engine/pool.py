@@ -1,16 +1,21 @@
-"""The parallel synthesis engine: speculative multi-worker pre-synthesis.
+"""The parallel synthesis engine: batched pre-synthesis on a worker pool.
 
 Per-RJ strategy synthesis is the dominant cost of a bioassay execution
 (Table V); the hybrid scheduler pays it serially, at MO-activation time, on
-the planning thread.  The :class:`SynthesisEngine` moves that work onto a
+the planning thread.  The paper's answer is pre-synthesis before the assay
+(Sec. VI-D), and the :class:`SynthesisEngine` runs that wave — one
+:meth:`~SynthesisEngine.presynthesize_batch` call per assay start, issued
+by :meth:`~repro.core.scheduler.HybridScheduler.presynthesize` — on a
 ``ProcessPoolExecutor``:
 
-* **submission** ships a pickle-safe payload — the routing job, the force
-  matrix derived from the sensed health, the query and epsilon, plus any
-  warm-start values — to a worker that runs the ordinary
-  :func:`~repro.core.synthesis.synthesize_with_field` and returns a compact
-  ``{pattern: action, values}`` payload (no model object crosses the
-  process boundary);
+* **submission** ships one pickle-safe task per wave — the routing jobs,
+  the force matrix derived from the sensed health, the query and epsilon,
+  plus any warm-start values — to a worker that runs the batched
+  :func:`~repro.core.synthesis.synthesize_batch` and returns compact
+  ``{pattern: action, values}`` payloads (no model object crosses the
+  process boundary).  :meth:`~SynthesisEngine.submit` is the one-member
+  wave; every pool task, including retries, runs
+  :func:`_worker_synthesize_batch`;
 * **consumption** (:meth:`take`) matches results by the exact
   ``(job key, health fingerprint)`` pair.  A speculation computed for an
   older health state is *stale* and discarded; a result still in flight
@@ -45,8 +50,9 @@ deadline,floor}``, ``engine.fairshare.rejected``, ``engine.errors``,
 ``engine.fault.{pool,transient,payload}``, ``engine.rebuilds``,
 ``engine.retries``, ``engine.degraded``, ``engine.batch.submitted``; the
 ``engine.speculation.wasted_ratio`` gauge tracks wasted/submitted; spans:
-``engine.submit`` / ``engine.wait`` / ``engine.batch.submit`` (the batched
-presynthesis wave, also journaled as an ``engine.batch.submit`` event).
+``engine.submit`` (a one-member wave) / ``engine.wait`` /
+``engine.batch.submit`` (a presynthesis wave, also journaled as an
+``engine.batch.submit`` event).
 
 **Multi-tenancy** (:class:`TenantView`): one engine (and its store) can be
 shared by N concurrent assays.  Every speculation is namespaced by a
@@ -54,7 +60,7 @@ tenant name, so assays can never consume — or block resubmission of —
 each other's speculations; the engine itself is thread-safe (one lock
 around the speculation state).  Fair-share admission splits
 ``max_inflight`` equally across registered tenants, so one assay's
-speculative prefetch cannot starve another's, and the *admission floor*
+presynthesis wave cannot starve another's, and the *admission floor*
 (``admission_floor=True``) skips speculative submission entirely when a
 single tenant runs on a single-core host — speculation there has nothing
 to overlap with and only adds IPC cost (the ``BENCH_parallel`` quick-scale
@@ -100,7 +106,6 @@ from repro.core.synthesis import (
     BatchRequest,
     force_field_from_health,
     synthesize_batch,
-    synthesize_with_field,
 )
 from repro.core.transitions import MatrixForceField
 from repro.engine import chaos
@@ -131,54 +136,6 @@ def _chaos_token(key: _EngineKey, attempt: int) -> str:
     )
 
 
-def _worker_synthesize(payload: dict) -> dict:
-    """Worker-side synthesis: plain payloads in, plain payloads out.
-
-    Runs in a pool process; must stay importable at module level so the
-    executor can pickle a reference to it.
-    """
-    injector = chaos.injector()
-    if injector is not None:
-        injector.worker_inject(payload.get("chaos_token", ""))
-    job = job_from_payload(payload["job"])
-    field = MatrixForceField(np.asarray(payload["forces"], dtype=float))
-    query = payload["query"]
-    # Validate the seed's bounding side against the query it will warm:
-    # a mismatch is a submission bug and must fail here, not silently
-    # degrade into a rejected seed inside the solver.
-    expected_side = side_for_objective(
-        None if query is None else query.objective
-    )
-    capture = WorkerCapture(payload.get("telemetry"))
-    with capture:
-        started = time.perf_counter()
-        with obs.span("worker.solve", job=job.key(), corr=capture.corr):
-            result = synthesize_with_field(
-                job,
-                field,
-                query=query,
-                max_aspect=payload["max_aspect"],
-                epsilon=payload["epsilon"],
-                warm_values=warm_values_from_payload(
-                    payload["warm_values"], expected_side=expected_side
-                ),
-            )
-        out = _result_payload(job, result)
-        perf.incr("worker.solves")
-        obs.journal_event(
-            "worker.synthesis",
-            job=job.key(),
-            ms=round((time.perf_counter() - started) * 1e3, 3),
-            construct_ms=out["construct_ms"],
-            solve_ms=out["solve_ms"],
-            exists=out["strategy"] is not None,
-        )
-    bundle = capture.export()
-    if bundle is not None:
-        out["telemetry"] = bundle
-    return out
-
-
 def _result_payload(job: RoutingJob, result) -> dict:
     """The compact cross-process form of one synthesis result."""
     strategy = strategy_from_synthesis(job, result)
@@ -191,15 +148,18 @@ def _result_payload(job: RoutingJob, result) -> dict:
 
 
 def _worker_synthesize_batch(payload: dict) -> dict:
-    """Worker-side batched synthesis: one pool task, many routing jobs.
+    """Worker-side synthesis: plain payloads in, plain payloads out.
 
-    A whole presynthesis wave rides a single task so the batch kernel can
+    Every pool task runs here, whether it carries a whole presynthesis
+    wave or a single job.  A wave rides one task so the batch kernel can
     share graph precompute across same-shape members and so the worker
     process's template cache / batch-value memo persist across waves.
     Results come back positionally (``payload["items"]`` order); each
-    member is bit-identical to what :func:`_worker_synthesize` would have
-    returned for it (:func:`~repro.core.synthesis.synthesize_batch`
-    guarantees equivalence with the per-RJ path).
+    member is bit-identical to a solo synthesis of it
+    (:func:`~repro.core.synthesis.synthesize_batch` guarantees
+    equivalence with the per-RJ path).  Runs in a pool process; must stay
+    importable at module level so the executor can pickle a reference to
+    it.
     """
     injector = chaos.injector()
     if injector is not None:
@@ -223,9 +183,7 @@ def _worker_synthesize_batch(payload: dict) -> dict:
     capture = WorkerCapture(payload.get("telemetry"))
     with capture:
         started = time.perf_counter()
-        with obs.span(
-            "worker.solve", jobs=len(jobs), batch=True, corr=capture.corr
-        ):
+        with obs.span("worker.solve", jobs=len(jobs), corr=capture.corr):
             results = synthesize_batch(
                 requests,
                 query=query,
@@ -239,13 +197,18 @@ def _worker_synthesize_batch(payload: dict) -> dict:
             ]
         }
         perf.incr("worker.solves", len(jobs))
-        batch_ms = round((time.perf_counter() - started) * 1e3, 3)
+        elapsed_ms = round((time.perf_counter() - started) * 1e3, 3)
+        # A lone job's wall time is its own; a wave's is shared, so its
+        # members carry it as batch_ms (see repro.obs.report).
+        timing = (
+            {"ms": elapsed_ms} if len(jobs) == 1
+            else {"batch": True, "batch_ms": elapsed_ms}
+        )
         for job, member in zip(jobs, out["results"]):
             obs.journal_event(
                 "worker.synthesis",
                 job=job.key(),
-                batch=True,
-                batch_ms=batch_ms,
+                **timing,
                 construct_ms=member["construct_ms"],
                 solve_ms=member["solve_ms"],
                 exists=member["strategy"] is not None,
@@ -276,14 +239,13 @@ def resolve_workers(workers: int) -> int:
 class _Speculation:
     """One in-flight worker job and the state needed to retry or reap it.
 
-    ``index`` is set when the speculation is one member of a batched
-    submission: several speculations then share one ``future`` (a single
-    pool task running :func:`_worker_synthesize_batch`) and ``index``
-    selects this member's slot in its ``"results"`` list.  ``payload`` is
-    always the member's *solo* payload, so retries after a pool rebuild
-    fall back to independent per-job tasks.  ``span_id`` is the submitting
-    ``engine.submit`` / ``engine.batch.submit`` span, under which any
-    worker-side spans shipped back on the result are grafted at
+    Every member of a wave shares the wave's ``future`` (one pool task
+    running :func:`_worker_synthesize_batch`); ``index`` selects this
+    member's slot in its ``"results"`` list.  ``payload`` is always the
+    member's own one-member task payload, so retries after a pool rebuild
+    resubmit members as independent one-member tasks.  ``span_id`` is the
+    submitting ``engine.submit`` / ``engine.batch.submit`` span, under
+    which any worker-side spans shipped back on the result are grafted at
     consumption time (see :mod:`repro.obs.propagate`).
     """
 
@@ -291,7 +253,7 @@ class _Speculation:
     payload: dict
     submitted_at: float
     attempts: int = 1
-    index: int | None = None
+    index: int = 0
     span_id: int | None = None
 
 
@@ -299,10 +261,7 @@ class SynthesisEngine:
     """Speculative synthesis execution: worker pool + persistent store.
 
     ``workers`` — pool size; ``0`` = one per core, ``1`` = no pool (the
-    engine then only fronts the store).  ``prefetch`` — whether the
-    scheduler's per-cycle speculative prefetch is enabled (pre-synthesis
-    via :meth:`~repro.core.scheduler.HybridScheduler.presynthesize` is the
-    caller's explicit choice either way).  The synthesis parameters must
+    engine then only fronts the store).  The synthesis parameters must
     match the router's — they are baked into every worker payload.
 
     ``policy`` bounds the fault-tolerance behaviour (see
@@ -333,7 +292,6 @@ class SynthesisEngine:
         pessimistic: bool = False,
         epsilon: float = SYNTHESIS_EPSILON,
         store: StrategyStore | None = None,
-        prefetch: bool = True,
         max_inflight: int = 128,
         retries: int = 2,
         deadline_ms: float | None = None,
@@ -350,7 +308,6 @@ class SynthesisEngine:
         self.pessimistic = pessimistic
         self.epsilon = epsilon
         self.store = store
-        self.prefetch_enabled = prefetch
         self.max_inflight = max_inflight
         self.policy = policy if policy is not None else RetryPolicy(
             retries=retries,
@@ -655,12 +612,13 @@ class SynthesisEngine:
         return True
 
     def _resubmit_inflight(self) -> None:
-        """Re-run the in-flight payloads on a freshly built pool.
+        """Re-run the in-flight members on a freshly built pool.
 
         A pool breakage fails *every* in-flight future at once; the
-        payloads themselves are (presumed) innocent, so each is retried on
-        the new executor until its retry budget runs out.  The attempt
-        number feeds the chaos token, so injected kills re-roll on retry.
+        payloads themselves are (presumed) innocent, so each member is
+        retried on the new executor as its own one-member task until its
+        retry budget runs out.  The attempt number feeds the chaos token,
+        so injected kills re-roll on retry.
         """
         survivors: dict[_EngineKey, _Speculation] = {}
         for key, spec in self._pending.items():
@@ -673,7 +631,9 @@ class SynthesisEngine:
             payload = dict(spec.payload)
             payload["chaos_token"] = _chaos_token(key, attempts)
             try:
-                future = self._executor.submit(_worker_synthesize, payload)
+                future = self._executor.submit(
+                    _worker_synthesize_batch, payload
+                )
             except (BrokenProcessPool, RuntimeError):
                 self._by_job.pop(key[:2], None)
                 self.wasted += 1
@@ -745,84 +705,23 @@ class SynthesisEngine:
     ) -> bool:
         """Speculatively synthesize ``(job, health)`` on the pool.
 
-        At most one speculation per (tenant, job key) is in flight at a
-        time, and the total in-flight count is bounded by ``max_inflight``
-        split fairly across registered tenants; rejected submissions
-        return ``False`` (the caller loses nothing — the job will fall
-        back to synchronous synthesis).  Submission never raises: a broken
-        or closed pool is counted, the pool is rebuilt when the budget
-        allows, and ``False`` is returned — the scheduler loop must
-        survive any engine state.
+        A one-member wave of :meth:`presynthesize_batch` that only ever
+        runs on the pool: without one (``workers=1`` or degraded) it
+        declines instead of solving in-process.  At most one speculation
+        per (tenant, job key) is in flight at a time, and the total
+        in-flight count is bounded by ``max_inflight`` split fairly across
+        registered tenants; rejected submissions return ``False`` (the
+        caller loses nothing — the job will fall back to synchronous
+        synthesis).  Submission never raises: a broken or closed pool is
+        counted, the pool is rebuilt when the budget allows, and ``False``
+        is returned — the scheduler loop must survive any engine state.
         """
         with self._lock:
-            return self._submit(job, health, warm_values, tenant)
-
-    def _submit(
-        self,
-        job: RoutingJob,
-        health: np.ndarray,
-        warm_values: dict | None,
-        tenant: str,
-    ) -> bool:
-        if self._executor is None or self.degraded or self._closed:
-            return False
-        if not self._speculation_admitted():
-            return False
-        self._reap_overdue()
-        if self._executor is None:  # a hung-worker reap may have degraded us
-            return False
-        job_key = job.key()
-        if (tenant, job_key) in self._by_job:
-            return False
-        if not self._admit(tenant):
-            return False
-        fingerprint = health_fingerprint(health, job.hazard)
-        key = (tenant, job_key, fingerprint)
-        if key in self._no_plan:
-            return False
-        forces = force_field_from_health(
-            health, bits=self.bits, pessimistic=self.pessimistic
-        ).forces
-        payload = {
-            "job": job_to_payload(job),
-            "forces": forces,
-            "query": self.query,
-            "max_aspect": self.max_aspect,
-            "epsilon": self.epsilon,
-            "warm_values": warm_values_to_payload(
-                warm_values,
-                side=side_for_objective(
-                    None if self.query is None else self.query.objective
-                ),
-            ),
-            "chaos_token": _chaos_token(key, 1),
-        }
-        telemetry = capture_config(corr=correlation_id(job_key, fingerprint))
-        if telemetry is not None:
-            payload["telemetry"] = telemetry
-        try:
-            with obs.span("engine.submit", job=job_key) as submit_span:
-                future = self._executor.submit(_worker_synthesize, payload)
-        except BrokenProcessPool as exc:
-            # The pool died under us (worker OOM-kill / crash): classify,
-            # rebuild within budget, and decline this submission — the job
-            # simply synthesizes synchronously.
-            self._record_fault(FaultKind.POOL, exc, job_key)
-            self._rebuild_pool()
-            return False
-        except RuntimeError as exc:
-            # Executor shut down concurrently (engine closed mid-cycle):
-            # count and decline rather than crash the scheduler loop.
-            self._record_fault(FaultKind.TRANSIENT, exc, job_key)
-            return False
-        self._pending[key] = _Speculation(
-            future, payload, time.monotonic(),
-            span_id=getattr(submit_span, "span_id", None),
-        )
-        self._by_job[(tenant, job_key)] = key
-        self.submitted += 1
-        perf.incr("engine.prefetch.submitted")
-        return True
+            if self._executor is None:
+                return False
+            return self._presynthesize_batch(
+                [(job, warm_values)], health, tenant, solo=True
+            ) == 1
 
     def presynthesize_batch(
         self,
@@ -840,9 +739,9 @@ class SynthesisEngine:
         running the batched solver core — the worker shares graph
         precompute across same-shape members instead of re-deriving it per
         job — and each member is tracked as its own speculation, so
-        :meth:`take` semantics (hit / stale / pending / error / deadline)
-        are exactly those of per-job submission.  On a pool failure
-        mid-flight, members retry as independent solo tasks.
+        :meth:`take` reports hit / stale / pending / error / deadline per
+        job.  On a pool failure mid-flight, members retry as one-member
+        tasks.
 
         Without a pool (``workers=1`` or a degraded engine) the batch is
         solved synchronously in-process through the same batched kernel
@@ -855,17 +754,43 @@ class SynthesisEngine:
         with self._lock:
             return self._presynthesize_batch(items, health, tenant)
 
+    def _task_payload(
+        self, items: list[dict], forces, chaos_token: str, corr: str
+    ) -> dict:
+        """One pool task's payload: ``items`` members sharing ``forces``."""
+        payload = {
+            "items": items,
+            "forces": forces,
+            "query": self.query,
+            "max_aspect": self.max_aspect,
+            "epsilon": self.epsilon,
+            "chaos_token": chaos_token,
+        }
+        telemetry = capture_config(corr=corr)
+        if telemetry is not None:
+            payload["telemetry"] = telemetry
+        return payload
+
     def _presynthesize_batch(
         self,
         items: "list[tuple[RoutingJob, dict | None]]",
         health: np.ndarray,
         tenant: str,
+        solo: bool = False,
     ) -> int:
+        """Accept, build and ship one wave.
+
+        ``solo`` marks a :meth:`submit`: the wave is the member's own
+        one-member payload (per-job chaos token and correlation id, an
+        ``engine.submit`` span) and it never falls back in-process.
+        """
         if self._closed or not items:
             return 0
         if self._executor is not None and not self._speculation_admitted():
             return 0
         self._reap_overdue()
+        if solo and self._executor is None:  # a hung-worker reap degraded us
+            return 0
         forces = force_field_from_health(
             health, bits=self.bits, pessimistic=self.pessimistic
         ).forces
@@ -884,73 +809,62 @@ class SynthesisEngine:
                 tenant, extra=len(accepted)
             ):
                 continue
-            solo = {
+            member = {
                 "job": job_to_payload(job),
-                "forces": forces,
-                "query": self.query,
-                "max_aspect": self.max_aspect,
-                "epsilon": self.epsilon,
-                "warm_values": warm_values_to_payload(
-                    warm_values, side=side
-                ),
-                "chaos_token": _chaos_token(key, 1),
+                "warm_values": warm_values_to_payload(warm_values, side=side),
             }
-            # Solo payloads carry their own capture config so a retry
-            # after a pool rebuild (which resubmits members as independent
-            # tasks) still propagates telemetry.
-            telemetry = capture_config(corr=correlation_id(key[1], key[2]))
-            if telemetry is not None:
-                solo["telemetry"] = telemetry
-            accepted.append((key, solo))
+            accepted.append((key, self._task_payload(
+                [member], forces, _chaos_token(key, 1),
+                correlation_id(key[1], key[2]),
+            )))
         if not accepted:
             return 0
         if self._executor is None:
             return self._presynthesize_sync(accepted)
-        batch_payload = {
-            "items": [
-                {"job": solo["job"], "warm_values": solo["warm_values"]}
-                for _, solo in accepted
-            ],
-            "forces": forces,
-            "query": self.query,
-            "max_aspect": self.max_aspect,
-            "epsilon": self.epsilon,
-            "chaos_token": (
-                f"batch|{accepted[0][0][2].hex()}|n{len(accepted)}"
-            ),
-        }
-        telemetry = capture_config(
-            corr=f"batch@{accepted[0][0][2].hex()[:12]}*{len(accepted)}"
-        )
-        if telemetry is not None:
-            batch_payload["telemetry"] = telemetry
+        fault_job = None
+        if solo:
+            [(key, wave)] = accepted
+            fault_job = key[1]
+            span_name, span_attrs = "engine.submit", {"job": fault_job}
+        else:
+            fp = accepted[0][0][2].hex()
+            wave = self._task_payload(
+                [payload["items"][0] for _, payload in accepted], forces,
+                f"batch|{fp}|n{len(accepted)}",
+                f"batch@{fp[:12]}*{len(accepted)}",
+            )
+            span_name, span_attrs = "engine.batch.submit", {
+                "jobs": len(accepted)
+            }
         try:
-            with obs.span(
-                "engine.batch.submit", jobs=len(accepted)
-            ) as batch_span:
-                future = self._executor.submit(
-                    _worker_synthesize_batch, batch_payload
-                )
+            with obs.span(span_name, **span_attrs) as submit_span:
+                future = self._executor.submit(_worker_synthesize_batch, wave)
         except BrokenProcessPool as exc:
-            self._record_fault(FaultKind.POOL, exc)
+            # The pool died under us (worker OOM-kill / crash): classify,
+            # rebuild within budget, and decline the wave — its jobs simply
+            # synthesize synchronously.
+            self._record_fault(FaultKind.POOL, exc, fault_job)
             self._rebuild_pool()
             return 0
         except RuntimeError as exc:
-            self._record_fault(FaultKind.TRANSIENT, exc)
+            # Executor shut down concurrently (engine closed mid-cycle):
+            # count and decline rather than crash the scheduler loop.
+            self._record_fault(FaultKind.TRANSIENT, exc, fault_job)
             return 0
         now = time.monotonic()
-        batch_span_id = getattr(batch_span, "span_id", None)
-        for index, (key, solo) in enumerate(accepted):
+        span_id = getattr(submit_span, "span_id", None)
+        for index, (key, payload) in enumerate(accepted):
             self._pending[key] = _Speculation(
-                future, solo, now, index=index, span_id=batch_span_id
+                future, payload, now, index=index, span_id=span_id
             )
             self._by_job[key[:2]] = key
         self.submitted += len(accepted)
         perf.incr("engine.prefetch.submitted", len(accepted))
-        perf.incr("engine.batch.submitted")
-        obs.journal_event(
-            "engine.batch.submit", jobs=len(accepted), pooled=True
-        )
+        if not solo:
+            perf.incr("engine.batch.submitted")
+            obs.journal_event(
+                "engine.batch.submit", jobs=len(accepted), pooled=True
+            )
         return len(accepted)
 
     def _presynthesize_sync(
@@ -972,16 +886,17 @@ class SynthesisEngine:
         field = MatrixForceField(
             np.asarray(accepted[0][1]["forces"], dtype=float)
         )
-        jobs = [job_from_payload(solo["job"]) for _, solo in accepted]
+        members = [payload["items"][0] for _, payload in accepted]
+        jobs = [job_from_payload(member["job"]) for member in members]
         requests = [
             BatchRequest(
                 job,
                 field,
                 warm_values=warm_values_from_payload(
-                    solo["warm_values"], expected_side=expected_side
+                    member["warm_values"], expected_side=expected_side
                 ),
             )
-            for job, (_, solo) in zip(jobs, accepted)
+            for job, member in zip(jobs, members)
         ]
         with obs.span("engine.batch.submit", jobs=len(accepted), sync=True):
             batch_results = synthesize_batch(
@@ -991,10 +906,10 @@ class SynthesisEngine:
                 epsilon=self.epsilon,
             )
         now = time.monotonic()
-        for (key, solo), job, result in zip(accepted, jobs, batch_results):
+        for (key, payload), job, result in zip(accepted, jobs, batch_results):
             future: Future = Future()
-            future.set_result(_result_payload(job, result))
-            self._pending[key] = _Speculation(future, solo, now)
+            future.set_result({"results": [_result_payload(job, result)]})
+            self._pending[key] = _Speculation(future, payload, now)
             self._by_job[key[:2]] = key
         self.submitted += len(accepted)
         perf.incr("engine.prefetch.submitted", len(accepted))
@@ -1079,15 +994,13 @@ class SynthesisEngine:
                     self._rebuild_pool()
                 return ("error", None)
         # Worker telemetry rides the top-level result payload; pop it
-        # *before* selecting a batch member's slot so the bundle (shared by
-        # every member of a batched task) merges exactly once — the first
+        # *before* selecting the member's slot so the bundle (shared by
+        # every member of a wave) merges exactly once — the first
         # consuming take grafts it, later members find it already gone.
         telemetry = payload.pop("telemetry", None)
         if telemetry is not None:
             merge_telemetry(telemetry, parent_span_id=spec.span_id)
-        if spec.index is not None:
-            # One member of a batched submission: select its slot.
-            payload = payload["results"][spec.index]
+        payload = payload["results"][spec.index]
         self.hits += 1
         perf.incr("engine.prefetch.hits")
         if payload["strategy"] is None:
@@ -1162,7 +1075,7 @@ class TenantView:
 
     Exposes exactly the engine surface the router/scheduler stack consumes
     (``submit``/``take``/``presynthesize_batch``, the store façade, and the
-    ``pooled``/``degraded``/``rebuilds``/``prefetch_enabled`` attributes),
+    ``pooled``/``degraded``/``rebuilds`` attributes),
     with every speculation namespaced by the tenant name — concurrent
     assays on one shared engine can never consume, evict, or block each
     other's speculations, so each assay routes exactly as it would with a
@@ -1189,10 +1102,6 @@ class TenantView:
     @property
     def rebuilds(self) -> int:
         return self._engine.rebuilds
-
-    @property
-    def prefetch_enabled(self) -> bool:
-        return self._engine.prefetch_enabled
 
     @property
     def store(self) -> StrategyStore | None:

@@ -134,14 +134,18 @@ class AssayScheduler:
                     bioassay=job.spec.bioassay, seed=job.spec.seed,
                     priority=job.spec.priority,
                 )
+                # The finish stamp lands before the terminal state is
+                # published, so any reader that sees done/failed also
+                # sees finished_at and run_ms.
                 try:
                     outcome = execute_assay(job.spec, engine=view)
                 except Exception as exc:  # noqa: BLE001 - job isolation
-                    job.state = FAILED
                     job.error = (
                         f"{type(exc).__name__}: {exc}\n"
                         + traceback.format_exc(limit=8)
                     )
+                    job.mark_finished()
+                    job.state = FAILED
                     perf.incr("serve.jobs.failed")
                     obs.journal_event(
                         "serve.job.failed", job_id=job.id,
@@ -149,6 +153,7 @@ class AssayScheduler:
                     )
                 else:
                     job.result = outcome.to_result_dict()
+                    job.mark_finished()
                     job.state = DONE
                     perf.incr("serve.jobs.completed")
                     obs.journal_event(
@@ -158,7 +163,8 @@ class AssayScheduler:
         finally:
             if view is not None:
                 view.close()
-            job.mark_finished()
+            if job.finished_at is None:  # the body raised past both arms
+                job.mark_finished()
             job.mark_done()
             if self.on_finish is not None:
                 try:

@@ -104,7 +104,6 @@ class ServeService:
         serve_workers: int = 2,
         engine_workers: int = 1,
         store_path: Any = None,
-        prefetch: bool = True,
         drain_deadline_s: float = 30.0,
         keep_traces: bool = False,
         journal_path: Any = None,
@@ -134,7 +133,7 @@ class ServeService:
         else:
             store = StrategyStore(store_path)
         self.engine = SynthesisEngine(
-            workers=engine_workers, store=store, prefetch=prefetch,
+            workers=engine_workers, store=store,
             retries=engine_retries, deadline_ms=engine_deadline_ms,
             admission_floor=True,
         )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bioassay.library import (
@@ -104,6 +107,66 @@ class TestSequencingGraph:
     def test_count(self):
         assert master_mix().count(MOType.DIS) == 3
         assert master_mix().count(MOType.MIX) == 2
+
+
+#: Graph queries of every library bioassay, in list order and with its MO
+#: list reversed (so "smallest list index first" is pinned on an order
+#: that is not already topological).
+SEQGRAPH_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "seqgraph_golden.json").read_text()
+)
+
+
+def _describe(graph: SequencingGraph) -> dict:
+    names = [mo.name for mo in graph.mos]
+    return {
+        "topological": [mo.name for mo in graph.topological()],
+        "successors": {
+            n: [mo.name for mo in graph.successors(n)]
+            for n in names if graph.successors(n)
+        },
+        "predecessors": {
+            n: [mo.name for mo in graph.predecessors(n)]
+            for n in names if graph.predecessors(n)
+        },
+        "depth": graph.depth,
+    }
+
+
+class TestSequencingGraphGolden:
+    @pytest.mark.parametrize("name", sorted(ALL_BIOASSAYS))
+    def test_queries_match_golden(self, name):
+        graph = ALL_BIOASSAYS[name]()
+        assert _describe(graph) == SEQGRAPH_GOLDEN[name]
+        flipped = SequencingGraph(graph.name, list(reversed(graph.mos)))
+        assert _describe(flipped) == SEQGRAPH_GOLDEN[name + "@reversed"]
+
+    def test_golden_covers_every_bioassay(self):
+        assert set(SEQGRAPH_GOLDEN) == {
+            key for name in ALL_BIOASSAYS for key in (name, name + "@reversed")
+        }
+
+    def test_dependency_cycle_rejected(self):
+        with pytest.raises(ValueError, match="dependency cycle"):
+            SequencingGraph("x", [
+                MO("a", MOType.MAG, pre=("b",)),
+                MO("b", MOType.MAG, pre=("a",)),
+            ])
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="dependency cycle"):
+            SequencingGraph("x", [MO("a", MOType.MAG, pre=("a",))])
+
+    def test_shared_producer_is_one_dependency(self):
+        graph = SequencingGraph("x", [
+            MO("d", MOType.DIS, size=(4, 4)),
+            MO("s", MOType.SPT, pre=("d",)),
+            MO("m", MOType.MIX, pre=("s", "s"), pre_output=(0, 1)),
+            MO("o", MOType.OUT, pre=("m",)),
+        ])
+        assert [mo.name for mo in graph.predecessors("m")] == ["s"]
+        assert [mo.name for mo in graph.successors("s")] == ["m"]
+        assert graph.depth == 4
 
 
 class TestLibrary:

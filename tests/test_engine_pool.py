@@ -1,4 +1,4 @@
-"""Tests for the speculative synthesis engine (worker pool + router wiring).
+"""Tests for the synthesis engine (worker pool + router wiring).
 
 The pool size can be overridden for CI matrix legs via the
 ``REPRO_TEST_WORKERS`` environment variable (default 2).
@@ -163,8 +163,8 @@ class TestSpeculation:
 class TestRouterIntegration:
     def test_prefetched_plan_skips_synchronous_synthesis(self, engine):
         router = AdaptiveRouter(engine=engine)
-        assert router.prefetch(job(), full_health())
-        # Wait for the worker without consuming the speculation, then plan:
+        assert router.prefetch_batch([job()], full_health()) == 1
+        # Wait for the wave without consuming the speculation, then plan:
         # the strategy must come from the speculation, not a synchronous
         # synthesis.
         deadline = time.monotonic() + 60.0
@@ -181,7 +181,8 @@ class TestRouterIntegration:
     def test_prefetch_skips_library_hits(self, engine):
         router = AdaptiveRouter(engine=engine)
         router.plan(job(), full_health())  # synchronous, fills the library
-        assert not router.prefetch(job(), full_health())
+        assert router.prefetch_batch([job()], full_health()) == 0
+        assert engine.submitted == 0
 
     def test_plan_falls_back_when_speculation_pending(self, engine):
         from repro.core.strategy import health_fingerprint
@@ -235,10 +236,10 @@ class TestWarmStartFromStore:
 
 
 class TestDeterminism:
-    def test_pooled_prefetch_matches_serial_execution(self):
-        """The determinism guard: speculation and presynthesis change
-        latency only.  Serial and pooled+prefetch executions of the same
-        bioassay and seeds must produce identical traces."""
+    def test_pooled_presynthesis_matches_serial_execution(self):
+        """The determinism guard: presynthesis changes latency only.
+        Serial and presynthesized executions of the same bioassay and seeds
+        must produce identical traces."""
         graph = plan(EVALUATION_BIOASSAYS["covid-rat"](), 40, 24)
 
         def execute(engine):
@@ -250,8 +251,8 @@ class TestDeterminism:
             scheduler = HybridScheduler(graph, router, 40, 24)
             trace = ExecutionTrace()
             sim = MedaSimulator(chip, np.random.default_rng(12), trace=trace)
-            if engine is not None and engine.pooled:
-                scheduler.presynthesize(chip.health())
+            if engine is not None:
+                assert scheduler.presynthesize(chip.health()) > 0
             result = sim.run(scheduler, max_cycles=600)
             return result, trace
 

@@ -141,6 +141,58 @@ class TestJobTimestamps:
         assert document["submitted_at"] > 0
 
 
+class TestFinishStamp:
+    def test_terminal_state_is_published_with_its_finish_stamp(
+        self, monkeypatch
+    ):
+        """A reader that sees done/failed also sees finished_at and run_ms.
+
+        The journal sink runs on the assay thread the moment the terminal
+        event fires, so it observes the job exactly as a concurrent
+        ``GET /jobs/<id>`` could at that instant.
+        """
+        import repro.serve.scheduler as serve_scheduler
+        from repro.serve import AssayScheduler
+
+        class Outcome:
+            def to_result_dict(self):
+                return {"success": True}
+
+        def fake_execute(spec, engine=None):
+            if spec.seed == 1:
+                raise RuntimeError("boom")
+            return Outcome()
+
+        monkeypatch.setattr(serve_scheduler, "execute_assay", fake_execute)
+        jobs = {}
+        seen = {}
+
+        def sink(record):
+            if record["event"] in ("serve.job.done", "serve.job.failed"):
+                seen[record["event"]] = jobs[record["job_id"]].to_dict()
+
+        obs.configure(journal=obs.RunJournal(sink))
+        queue = JobQueue()
+        scheduler = AssayScheduler(queue, workers=1)
+        try:
+            for seed in (0, 1):
+                job = AssayJob(spec=AssaySpec(seed=seed))
+                jobs[job.id] = job
+                queue.put(job)
+            scheduler.start()
+            for job in jobs.values():
+                assert job.wait_done(timeout=30.0)
+        finally:
+            queue.close()
+            scheduler.stop()
+            obs.shutdown()
+        assert set(seen) == {"serve.job.done", "serve.job.failed"}
+        for event, document in seen.items():
+            assert document["state"] == event.rsplit(".", 1)[1]
+            assert "finished_at" in document, event
+            assert "run_ms" in document, event
+
+
 @pytest.mark.skipif(WORKERS < 2, reason="needs a worker pool")
 class TestFairShare:
     def test_second_tenant_shrinks_the_share(self):
