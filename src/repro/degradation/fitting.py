@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 
 @dataclass(frozen=True)
@@ -96,6 +95,10 @@ def fit_force_curve(
 
     def model(x: np.ndarray, tau: float, c: float) -> np.ndarray:
         return tau ** (2.0 * x / c)
+
+    # Imported here: scipy.optimize is slow to import and only fitting
+    # needs it, while every run path imports this package.
+    from scipy.optimize import curve_fit
 
     c_lo, c_hi = c_reference * (1.0 - c_slack), c_reference * (1.0 + c_slack)
     popt, _ = curve_fit(

@@ -7,7 +7,8 @@ reach which) is fixed by the chip geometry while the transition
 repeats two kinds of work:
 
 * **graph precompute** — qualitative prob0/prob1 sets, the total-reward
-  region and the SCC condensation depend only on the transition *support*,
+  region and the block's gather skeletons depend only on the transition
+  *support*,
   so models sharing a support share all of it (:class:`SharedContext`,
   memoized on a structural fingerprint);
 * **sweep scheduling** — the value-iteration settling prelude that costs
@@ -16,7 +17,7 @@ repeats two kinds of work:
   into one block-diagonal matvec plus one axis-1 segment reduction.
 
 The kernel is *exact*, not approximate: every per-model operation either
-reuses the solo code verbatim (:func:`interval._solve_reward_level`,
+reuses the solo code verbatim (:func:`interval._solve_reward_block`,
 :func:`interval._pi_finish`) or mirrors it op-for-op with no cross-model
 data flow, so each model's float sequence — and therefore its certified
 ``lower``/``upper`` bounds, gap and extracted strategy — is bit-identical
@@ -92,7 +93,7 @@ def _raw_csr(data, indices, indptr, shape) -> sparse.csr_matrix:
 
     The arrays come from skeletons derived off a canonical matrix (or a
     gather through one), so re-running ``check_format`` per model per
-    level would only re-verify what the construction guarantees.
+    solve would only re-verify what the construction guarantees.
     """
     out = sparse.csr_matrix(shape, dtype=data.dtype)
     out.data = data
@@ -128,12 +129,12 @@ def _block_diag_csr(mats: "list[sparse.csr_matrix]") -> sparse.csr_matrix:
 
 @dataclass(frozen=True)
 class _Level:
-    """Shared per-condensation-level structure (support-derived)."""
+    """Shared structure of the active block (support-derived)."""
 
-    block: np.ndarray  # bool state mask of the level
-    idx: np.ndarray  # global choice indices of the level
-    own: np.ndarray  # owner state per level choice
-    states: np.ndarray  # sorted state indices of the level
+    block: np.ndarray  # bool state mask of the block
+    idx: np.ndarray  # global choice indices of the block
+    own: np.ndarray  # owner state per block choice
+    states: np.ndarray  # sorted state indices of the block
     rowpos: np.ndarray  # gather: T.data[rowpos] -> Tl.data
     tl_indices: np.ndarray
     tl_indptr: np.ndarray
@@ -145,7 +146,7 @@ class _Level:
     direct_ok: bool
 
     def make_tl(self, T: sparse.csr_matrix, n: int) -> sparse.csr_matrix:
-        """This model's level rows — bit-identical to ``T[idx]``."""
+        """This model's block rows — bit-identical to ``T[idx]``."""
         return _raw_csr(
             T.data[self.rowpos], self.tl_indices, self.tl_indptr,
             (self.idx.size, n),
@@ -161,7 +162,10 @@ class _Level:
 
 @dataclass(frozen=True)
 class SharedContext:
-    """Support-derived precompute shared by a same-shape model family."""
+    """Support-derived precompute shared by a same-shape model family.
+
+    ``level`` is ``None`` when the family has no active state.
+    """
 
     key: str
     goal: str
@@ -169,8 +173,7 @@ class SharedContext:
     goal_zero: np.ndarray
     active: np.ndarray
     usable: np.ndarray
-    num_levels: int
-    levels: tuple[_Level, ...]
+    level: _Level | None
 
 
 def _build_level(
@@ -243,18 +246,11 @@ def build_context(cm, goal: str, avoid: str, minimize: bool) -> SharedContext:
     goal_zero, active, usable = compiled._reward_region(
         cm, goal_mask, avoid_mask
     )
-    T = interval._rows(cm)
-    owners = cm.choice_state
-    rows, cols = interval._entries(cm)
-    level_of_state, num_levels = interval._scc_levels(
-        cm.num_states, rows, cols, owners, active, usable
-    )
-    levels = tuple(
-        _build_level(
-            T, owners, active & (level_of_state == level), usable, minimize
+    level = None
+    if active.any():
+        level = _build_level(
+            interval._rows(cm), cm.choice_state, active, usable, minimize
         )
-        for level in range(num_levels)
-    )
     return SharedContext(
         key=structural_key(cm),
         goal=goal,
@@ -262,8 +258,7 @@ def build_context(cm, goal: str, avoid: str, minimize: bool) -> SharedContext:
         goal_zero=goal_zero,
         active=active,
         usable=usable,
-        num_levels=num_levels,
-        levels=levels,
+        level=level,
     )
 
 
@@ -294,7 +289,7 @@ def clear_context_cache() -> None:
 
 
 class _ModelState:
-    """Mutable per-model solve state threaded through the levels."""
+    """Mutable per-model solve state of one batched solve."""
 
     __slots__ = ("cm", "T", "lower", "upper", "budget", "seed", "failed")
 
@@ -321,7 +316,7 @@ def _batched_settle(
     bases: "list[np.ndarray]",
     tblocks: "list[sparse.csr_matrix]",
 ) -> "list[np.ndarray | None]":
-    """Lockstep settling prelude over all models of one level.
+    """Lockstep settling prelude over all models of the block.
 
     Mirrors the ``settle`` closure of :func:`interval._policy_fixpoint`
     op-for-op per model: same budget ticks, same value-only vs greedy
@@ -418,30 +413,81 @@ def _batched_settle(
     return held
 
 
-def _solve_level_for_model(
+def _solve_block(
     lvl: _Level,
-    m: _ModelState,
-    Tl: sparse.csr_matrix,
-    rl: np.ndarray,
-    target: float,
+    live: "list[_ModelState]",
     epsilon: float,
     minimize: bool,
-    presettled,
 ) -> None:
-    interval._solve_reward_level(
-        m.lower,
-        m.upper,
-        lvl.block,
-        Tl,
-        rl,
-        lvl.own,
-        m.budget,
-        target=target,
-        epsilon=epsilon,
-        minimize=minimize,
-        seed=None,
-        presettled=presettled,
-    )
+    """Solve the active block for every model, in place.
+
+    Each model runs the solo block body, :func:`interval._solve_reward_block`;
+    when more than one model can share it, the settling prelude runs
+    batched first and each model finishes from its own held policy.
+    Models that exhaust their budget are marked ``failed``.
+    """
+    tls = {id(m): lvl.make_tl(m.T, m.cm.num_states) for m in live}
+    rls = {id(m): m.cm.choice_reward[lvl.idx] for m in live}
+
+    if not lvl.direct_ok or len(live) == 1:
+        # No batched prelude possible (maximization, oversized or
+        # degenerate block), or a single live model (nothing to batch) —
+        # run the solo block body whole.  Either way the shared-context
+        # precompute is still amortized.
+        for m in live:
+            try:
+                interval._solve_reward_block(
+                    m.lower, m.upper, lvl.block, tls[id(m)], rls[id(m)],
+                    lvl.own, m.budget, epsilon=epsilon, minimize=minimize,
+                    seed=m.seed,
+                )
+            except interval.NonConvergence:
+                m.failed = True
+        return
+
+    # Seed verification (solo order: before the direct attempt).
+    for m in live:
+        if m.seed is None:
+            continue
+        try:
+            opt = interval._make_opt(lvl.own, m.cm.num_states, not minimize)
+            interval._verify_reward_seed(
+                m.lower, lvl.block,
+                lambda vec, m=m, opt=opt: opt(rls[id(m)] + tls[id(m)] @ vec),
+                m.seed, epsilon, m.budget,
+            )
+        except interval.NonConvergence:
+            m.failed = True
+    live = [m for m in live if not m.failed]
+    if not live:
+        return
+
+    # Inputs of the settling prelude, exactly as
+    # interval._policy_fixpoint derives them.
+    x0s, bases, tblocks = [], [], []
+    for m in live:
+        vals = m.lower.copy()
+        certified = np.isfinite(m.upper)
+        vals[certified] = 0.5 * (m.lower[certified] + m.upper[certified])
+        x0 = vals[lvl.states].copy()
+        x0[~np.isfinite(x0)] = 0.0
+        vals[lvl.states] = 0.0
+        bases.append(rls[id(m)] + tls[id(m)] @ vals)
+        x0s.append(x0)
+        tblocks.append(lvl.make_tblock(tls[id(m)]))
+
+    held = _batched_settle(lvl, live, x0s, bases, tblocks)
+    for row, m in enumerate(live):
+        if m.failed:
+            continue
+        try:
+            interval._solve_reward_block(
+                m.lower, m.upper, lvl.block, tls[id(m)], rls[id(m)],
+                lvl.own, m.budget, epsilon=epsilon, minimize=minimize,
+                seed=None, presettled=(held[row], tblocks[row], bases[row]),
+            )
+        except interval.NonConvergence:
+            m.failed = True
 
 
 def solve_reach_avoid_reward_batch(
@@ -500,9 +546,9 @@ def solve_reach_avoid_reward_batch(
     if not batchable:
         return results
     # A single batchable model still runs the shared-context machinery:
-    # the per-epoch win in resynthesis storms is the memoized prob0/prob1
-    # and SCC precompute (keyed on support), which the plain solo path
-    # would recompute from scratch every call.
+    # the per-epoch win in resynthesis storms is the memoized prob1e
+    # region and gather skeletons (keyed on support), which the plain
+    # solo path would recompute from scratch every call.
 
     rep = models[batchable[0]]
     if context is None or context.key != keys[batchable[0]] or (
@@ -524,113 +570,18 @@ def solve_reach_avoid_reward_batch(
             perf.incr("vi.reward.cold_solves")
         states_list.append(_ModelState(cm, ctx, max_iterations, seed))
 
-    targets = interval._level_targets(epsilon, ctx.num_levels)
-    if ctx.active.any():
-        for level in range(ctx.num_levels):
-            lvl = ctx.levels[level]
-            target = float(targets[level])
-            live = [m for m in states_list if not m.failed]
-            if not live:
-                break
-            tls = {id(m): lvl.make_tl(m.T, m.cm.num_states) for m in live}
-            rls = {id(m): m.cm.choice_reward[lvl.idx] for m in live}
-
-            if not lvl.direct_ok or len(live) == 1:
-                # No batched prelude possible (maximization, oversized or
-                # degenerate level), or a single live model (nothing to
-                # batch) — run the solo per-level body whole.  Either way
-                # the shared-context precompute is still amortized.
-                for m in live:
-                    try:
-                        interval._solve_reward_level(
-                            m.lower, m.upper, lvl.block, tls[id(m)],
-                            rls[id(m)], lvl.own, m.budget, target=target,
-                            epsilon=epsilon, minimize=minimize, seed=m.seed,
-                        )
-                    except interval.NonConvergence:
-                        m.failed = True
-                continue
-
-            # Seed verification (solo order: before the direct attempt).
-            for m in live:
-                if m.seed is None:
-                    continue
-                try:
-                    opt = interval._make_opt(
-                        lvl.own, m.cm.num_states, not minimize
-                    )
-                    interval._verify_reward_seed(
-                        m.lower, lvl.block,
-                        lambda vec, m=m, opt=opt: opt(
-                            rls[id(m)] + tls[id(m)] @ vec
-                        ),
-                        m.seed, epsilon, m.budget,
-                    )
-                except interval.NonConvergence:
-                    m.failed = True
-            live = [m for m in live if not m.failed]
-            if not live:
-                continue
-
-            # Inputs of the settling prelude, exactly as
-            # interval._policy_fixpoint derives them.
-            x0s, bases, tblocks = [], [], []
-            for m in live:
-                vals = m.lower.copy()
-                certified = np.isfinite(m.upper)
-                vals[certified] = 0.5 * (
-                    m.lower[certified] + m.upper[certified]
-                )
-                x0 = vals[lvl.states].copy()
-                x0[~np.isfinite(x0)] = 0.0
-                vals[lvl.states] = 0.0
-                bases.append(rls[id(m)] + tls[id(m)] @ vals)
-                x0s.append(x0)
-                tblocks.append(lvl.make_tblock(tls[id(m)]))
-
-            held = _batched_settle(
-                lvl, live, x0s, bases, tblocks
-            )
-            for row, m in enumerate(live):
-                if m.failed:
-                    continue
-                try:
-                    _solve_level_for_model(
-                        lvl, m, tls[id(m)], rls[id(m)], target, epsilon,
-                        minimize,
-                        (held[row], tblocks[row], bases[row]),
-                    )
-                except interval.NonConvergence:
-                    m.failed = True
+    if ctx.level is not None:
+        _solve_block(ctx.level, states_list, epsilon, minimize)
 
     for i, m in zip(batchable, states_list):
         if m.failed:
             results[i] = solo(models[i], initial_values[i])
             continue
         solution = interval.IntervalSolution(
-            m.lower, m.upper, m.budget.iterations, ctx.num_levels
+            m.lower, m.upper, m.budget.iterations
         )
-        cm = models[i]
-        values = np.where(
-            np.isfinite(solution.lower) & np.isfinite(solution.upper),
-            0.5 * (solution.lower + solution.upper),
-            solution.lower,
-        )
-        remapped = compiled._extract(
-            cm, values, ctx.usable, cm.choice_reward, not minimize
-        )
-        iterations = solution.iterations + 1
-        perf.incr("vi.reward.iterations", iterations)
-        perf.incr("vi.interval.iters", solution.iterations)
-        perf.observe(
-            "vi.interval.gap", solution.gap, bounds=compiled.GAP_BUCKETS
-        )
-        results[i] = ValueResult(
-            values=values,
-            choice=compiled._to_local(cm, remapped),
-            iterations=iterations,
-            lower=solution.lower,
-            upper=solution.upper,
+        results[i] = compiled._reward_result(
+            models[i], solution, ctx.usable, minimize
         )
     return results
 
@@ -710,25 +661,7 @@ def solve_reach_avoid_probability_batch(
             cm, zero=sets.zero, one=sets.one, maximize=maximize,
             epsilon=epsilon, max_iterations=max_iterations, seed=seed,
         )
-        values = 0.5 * (solution.lower + solution.upper)
-        frozen = goal_mask | avoid_mask
-        remapped = compiled._extract(
-            cm, values, ~frozen[cm.choice_state], None, maximize
-        )
-        remapped[frozen] = -1
-        iterations = solution.iterations + 1
-        perf.incr("vi.probability.iterations", iterations)
-        perf.incr("vi.interval.iters", solution.iterations)
-        perf.observe(
-            "vi.interval.gap", solution.gap, bounds=compiled.GAP_BUCKETS
-        )
-        results.append(
-            ValueResult(
-                values=values,
-                choice=compiled._to_local(cm, remapped),
-                iterations=iterations,
-                lower=solution.lower,
-                upper=solution.upper,
-            )
-        )
+        results.append(compiled._probability_result(
+            cm, solution, goal_mask | avoid_mask, maximize
+        ))
     return results

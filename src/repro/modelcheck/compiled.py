@@ -11,7 +11,7 @@ into flat numpy/scipy-sparse arrays:
 * ``transitions`` — a ``(num_choices, num_states)`` CSR matrix of successor
   probabilities.
 
-Solving is a *sound* three-stage pipeline (see :mod:`.precompute` and
+Solving is a *sound* two-stage pipeline (see :mod:`.precompute` and
 :mod:`.interval`):
 
 1. **qualitative precomputation** pins every state whose value is exactly
@@ -21,9 +21,7 @@ Solving is a *sound* three-stage pipeline (see :mod:`.precompute` and
    numeric stage a unique fixpoint;
 2. **interval value iteration** brackets the remaining states between a
    monotone lower and upper iterate, so every :class:`ValueResult` carries
-   certified ``lower``/``upper`` arrays with ``gap <= epsilon``;
-3. **topological SCC ordering** solves the unknown region one condensation
-   level at a time, successors first.
+   certified ``lower``/``upper`` arrays with ``gap <= epsilon``.
 
 Warm-start seeds are *validated*, not trusted: values outside the
 documented bound raise ``ValueError``, non-finite entries are filled with
@@ -35,9 +33,6 @@ one Bellman application confirms it bounds the fixpoint from its side
 The pure-Python solvers in :mod:`repro.modelcheck.reachability` /
 :mod:`repro.modelcheck.rewards` remain as reference implementations; the
 unit tests check agreement between the two on randomized models.
-``certified=False`` switches to the legacy single-sided sweep loop — kept
-only as the ablation baseline for ``benchmarks/bench_interval.py``; its
-stopping criterion proves nothing about the true error.
 """
 
 from __future__ import annotations
@@ -246,11 +241,10 @@ def solve_reach_avoid_probability(
     epsilon: float = DEFAULT_EPSILON,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     initial_values: np.ndarray | None = None,
-    certified: bool = True,
 ) -> ValueResult:
     """Vectorized ``Pmax``/``Pmin`` of ``[] !avoid && <> goal``.
 
-    The default pipeline is sound: qualitative precomputation pins the
+    The pipeline is sound: qualitative precomputation pins the
     exact-0/exact-1 states, then interval value iteration brackets the rest
     between monotone bounds, so the result's ``lower``/``upper`` satisfy
     ``lower <= P <= upper`` pointwise with ``max(upper - lower) <= epsilon``
@@ -263,10 +257,6 @@ def solve_reach_avoid_probability(
     is kept only when one Bellman application confirms it bounds the
     fixpoint, otherwise the solve silently cold-starts
     (``vi.warm.rejected``).
-
-    ``certified=False`` runs the legacy single-sided sweep loop (no
-    precomputation, no bounds) — ablation use only; it diverges on models
-    with goal-dodging end components (hypothesis seed 1186).
     """
     goal_mask = cm.label_mask(goal)
     avoid_mask = cm.label_mask(avoid)
@@ -280,11 +270,6 @@ def solve_reach_avoid_probability(
     else:
         perf.incr("vi.probability.cold_solves")
 
-    if not certified:
-        return _solve_probability_plain(
-            cm, goal_mask, avoid_mask, maximize, epsilon, max_iterations, seed
-        )
-
     sets = precompute.qualitative(cm, goal_mask, avoid_mask, maximize)
     solution = interval.solve_probability_interval(
         cm,
@@ -295,90 +280,28 @@ def solve_reach_avoid_probability(
         max_iterations=max_iterations,
         seed=seed,
     )
+    return _probability_result(cm, solution, goal_mask | avoid_mask, maximize)
+
+
+def _probability_result(
+    cm: CompiledMDP,
+    solution: interval.IntervalSolution,
+    frozen: np.ndarray,
+    maximize: bool,
+) -> ValueResult:
+    """Package a certified probability solution (midpoint + strategy).
+
+    ``frozen`` marks the goal and avoid states, which get no choice.
+    Shared with the batched kernel so both paths count and report alike.
+    """
     values = 0.5 * (solution.lower + solution.upper)
-    frozen = goal_mask | avoid_mask
     remapped = _extract(cm, values, ~frozen[cm.choice_state], None, maximize)
     remapped[frozen] = -1
     # The extraction Bellman application counts as an iteration, so even a
     # fully precomputed solve reports >= 1.
     iterations = solution.iterations + 1
     perf.incr("vi.probability.iterations", iterations)
-    perf.incr("vi.interval.iters", solution.iterations)
-    perf.observe("vi.interval.gap", solution.gap, bounds=GAP_BUCKETS)
-    return ValueResult(
-        values=values,
-        choice=_to_local(cm, remapped),
-        iterations=iterations,
-        lower=solution.lower,
-        upper=solution.upper,
-    )
-
-
-def _solve_probability_plain(
-    cm: CompiledMDP,
-    goal_mask: np.ndarray,
-    avoid_mask: np.ndarray,
-    maximize: bool,
-    epsilon: float,
-    max_iterations: int,
-    seed: np.ndarray | None,
-) -> ValueResult:
-    """Legacy one-sided sweep loop (uncertified; ablation baseline).
-
-    Keeps the satellite fixes — side-correct seed fill happens in
-    :func:`_sanitize_probability_seed` and trap states (no live choice) are
-    pinned to 0 instead of retaining stale seed values behind the
-    ``isfinite`` scatter mask — but its ``delta < epsilon`` stop is still
-    only a heuristic and it diverges on goal-dodging end components.
-    """
-    n = cm.num_states
-    frozen = goal_mask | avoid_mask
-    owners = cm.choice_state
-    live = ~frozen[owners]
-    has_live = np.zeros(n, dtype=bool)
-    has_live[owners[live]] = True
-    trap = ~has_live & ~frozen  # pinned to 0: the run can never reach goal
-
-    values = np.where(goal_mask, 1.0, 0.0)
-    if seed is not None:
-        values = np.where(frozen | trap, values, seed)
-
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        q = cm.transitions @ values
-        per_state = _scatter_opt(owners[live], q[live], n, maximize)
-        updatable = np.isfinite(per_state) & ~frozen
-        delta = (
-            np.max(np.abs(per_state[updatable] - values[updatable]))
-            if updatable.any()
-            else 0.0
-        )
-        values[updatable] = per_state[updatable]
-        if delta < epsilon:
-            break
-    else:
-        raise interval.NonConvergence("value iteration did not converge")
-    perf.incr("vi.probability.iterations", iterations)
-
-    remapped = _extract(cm, values, live, None, maximize)
-    remapped[frozen] = -1
-    return ValueResult(
-        values=values, choice=_to_local(cm, remapped), iterations=iterations
-    )
-
-
-def solve_prob1e(
-    cm: CompiledMDP, goal: str = "goal", avoid: str = "hazard"
-) -> np.ndarray:
-    """Boolean mask of states with a strategy reaching ``goal`` w.p. 1.
-
-    Thin wrapper over :func:`repro.modelcheck.precompute.prob1e_mask` (the
-    vectorized nested fixpoint ``nu Z. mu Y. goal | Pre(Z, Y)``), kept for
-    API compatibility.
-    """
-    return precompute.prob1e_mask(
-        cm, cm.label_mask(goal), cm.label_mask(avoid)
-    )
+    return _interval_result(cm, solution, values, remapped, iterations)
 
 
 def _reward_region(
@@ -409,13 +332,12 @@ def solve_reach_avoid_reward(
     epsilon: float = DEFAULT_EPSILON,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     initial_values: np.ndarray | None = None,
-    certified: bool = True,
 ) -> ValueResult:
     """Vectorized ``Rmin``/``Rmax`` of cumulated reward until ``goal``.
 
     States outside the probability-one region get ``inf`` (PRISM
     total-reward semantics); the iteration is restricted to choices that
-    stay inside it.  The default pipeline certifies the finite values with
+    stay inside it.  The pipeline certifies the finite values with
     optimistic value iteration: ``lower <= R <= upper`` pointwise with
     ``max(upper - lower) <= epsilon`` over the finite region, and
     ``values`` is the midpoint.
@@ -423,7 +345,7 @@ def solve_reach_avoid_reward(
     ``initial_values`` warm-starts the lower iterate.  Negative finite
     entries raise ``ValueError``; non-finite entries fill with 0 (the sound
     lower start); the candidate (relaxed down by ``epsilon``) is verified
-    per SCC level with a Bellman application and dropped where it fails
+    with a Bellman application and dropped where it fails
     (``vi.warm.rejected``).  Goal states and states outside the prob-1
     region keep their pinned values regardless of the seed.
     """
@@ -438,13 +360,6 @@ def solve_reach_avoid_reward(
         perf.incr("vi.reward.cold_solves")
 
     goal_zero, active, usable = _reward_region(cm, goal_mask, avoid_mask)
-
-    if not certified:
-        return _solve_reward_plain(
-            cm, goal_zero, active, usable, minimize, epsilon,
-            max_iterations, seed,
-        )
-
     solution = interval.solve_reward_interval(
         cm,
         goal_zero=goal_zero,
@@ -455,6 +370,21 @@ def solve_reach_avoid_reward(
         max_iterations=max_iterations,
         seed=seed,
     )
+    return _reward_result(cm, solution, usable, minimize)
+
+
+def _reward_result(
+    cm: CompiledMDP,
+    solution: interval.IntervalSolution,
+    usable: np.ndarray,
+    minimize: bool,
+) -> ValueResult:
+    """Package a certified reward solution (midpoint + strategy).
+
+    States outside the probability-one region keep their ``inf`` lower
+    value.  Shared with the batched kernel so both paths count and report
+    alike.
+    """
     values = np.where(
         np.isfinite(solution.lower) & np.isfinite(solution.upper),
         0.5 * (solution.lower + solution.upper),
@@ -463,6 +393,17 @@ def solve_reach_avoid_reward(
     remapped = _extract(cm, values, usable, cm.choice_reward, not minimize)
     iterations = solution.iterations + 1
     perf.incr("vi.reward.iterations", iterations)
+    return _interval_result(cm, solution, values, remapped, iterations)
+
+
+def _interval_result(
+    cm: CompiledMDP,
+    solution: interval.IntervalSolution,
+    values: np.ndarray,
+    remapped: np.ndarray,
+    iterations: int,
+) -> ValueResult:
+    """The objective-independent tail: interval counters and the result."""
     perf.incr("vi.interval.iters", solution.iterations)
     perf.observe("vi.interval.gap", solution.gap, bounds=GAP_BUCKETS)
     return ValueResult(
@@ -471,49 +412,6 @@ def solve_reach_avoid_reward(
         iterations=iterations,
         lower=solution.lower,
         upper=solution.upper,
-    )
-
-
-def _solve_reward_plain(
-    cm: CompiledMDP,
-    goal_zero: np.ndarray,
-    active: np.ndarray,
-    usable: np.ndarray,
-    minimize: bool,
-    epsilon: float,
-    max_iterations: int,
-    seed: np.ndarray | None,
-) -> ValueResult:
-    """Legacy one-sided reward sweep loop (uncertified; ablation baseline)."""
-    n = cm.num_states
-    owners = cm.choice_state
-    values = np.full(n, np.inf)
-    values[goal_zero] = 0.0
-    values[active] = 0.0
-    if seed is not None:
-        values[active] = seed[active]
-
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        q = cm.choice_reward + cm.transitions @ values
-        per_state = _scatter_opt(
-            owners[usable], q[usable], n, maximize=not minimize
-        )
-        delta = (
-            np.max(np.abs(per_state[active] - values[active]))
-            if active.any()
-            else 0.0
-        )
-        values[active] = per_state[active]
-        if delta < epsilon:
-            break
-    else:
-        raise interval.NonConvergence("reward iteration did not converge")
-    perf.incr("vi.reward.iterations", iterations)
-
-    remapped = _extract(cm, values, usable, cm.choice_reward, not minimize)
-    return ValueResult(
-        values=values, choice=_to_local(cm, remapped), iterations=iterations
     )
 
 

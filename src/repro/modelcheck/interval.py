@@ -38,15 +38,10 @@ while passing it).  This module replaces that with *certified* solving:
   the certificate, it only jumps the bracket when the jump is provably
   safe.
 
-* **Topological SCC ordering**: the unknown states are decomposed into
-  strongly connected components (``scipy.sparse.csgraph``) and solved one
-  condensation level at a time, successors first.  Acyclic layers — the
-  common case in frontier-restricted routing models — resolve in one
-  sweep each instead of participating in global sweeps, and each level
-  iterates against already-certified successor bounds.  Per-level gap
-  targets increase strictly with the level (``epsilon * (1/2 + ...)``),
-  which keeps termination guaranteed: a level's achievable gap is bounded
-  by its successors' (smaller) certified gap.
+The unknown region is solved as one block: policy iteration with exact
+linear solves (:func:`_policy_fixpoint`) proposes values that one Bellman
+application each certifies, and the bracketing sweeps above close
+whatever gap remains.
 
 The module is deliberately free of model/label handling — callers hand in
 masks and get an :class:`IntervalSolution` back; :mod:`.compiled` owns the
@@ -90,7 +85,7 @@ _SMOOTH_SWEEPS = 8
 #: attempt (candidates ``est -/+ delta`` and ``est -/+ 64 delta``).
 _SLACK_GROWTH = 64.0
 
-#: Largest SCC block whose policy-iteration linear systems are solved
+#: Largest block whose policy-iteration linear systems are solved
 #: densely (``np.linalg.solve``).  Slowly mixing blocks — escape mass per
 #: sweep near zero — make any sweep-based scheme crawl; a policy's exact
 #: value costs one solve and verifies immediately, so direct solving
@@ -100,7 +95,7 @@ _SLACK_GROWTH = 64.0
 #: successors per choice, so fill-in stays benign).
 _DIRECT_MAX = 512
 
-#: Largest SCC block attempted by sparse-LU policy iteration before
+#: Largest block attempted by sparse-LU policy iteration before
 #: falling back to accelerated sweeping outright.  Grid-local transition
 #: structure keeps LU fill-in near-linear well past this size; the cap
 #: only guards against pathological dense-ish blocks where factorization
@@ -134,16 +129,14 @@ _PI_PRELUDE_MAX = 256
 class IntervalSolution:
     """Certified bounds: ``lower <= value <= upper`` pointwise.
 
-    ``iterations`` counts Bellman applications across all levels (sweeps
-    plus seed-verification, OVI-verification, smoothing and
-    acceptance-check applications); ``levels`` is the number of
-    condensation levels the unknown region decomposed into.
+    ``iterations`` counts Bellman applications (sweeps plus
+    seed-verification, OVI-verification, smoothing and acceptance-check
+    applications) and policy-iteration rounds.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     iterations: int
-    levels: int
 
     @property
     def gap(self) -> float:
@@ -190,7 +183,7 @@ def _make_opt(own: np.ndarray, n: int, maximize: bool):
     Compiled models group choices by owner state, so a block's ``own``
     array is sorted and its per-owner segments are contiguous: the
     scatter-reduce collapses to one ``reduceat`` over segment starts
-    computed once per level — several times faster than ``np.maximum.at``,
+    computed once per solve — several times faster than ``np.maximum.at``,
     which re-derives the grouping on every sweep.  Unsorted blocks (never
     produced by :func:`compiled.compile_mdp`; kept as a correctness net)
     fall back to the generic scatter.
@@ -213,66 +206,6 @@ def _make_opt(own: np.ndarray, n: int, maximize: bool):
         return out
 
     return opt
-
-
-def _scc_levels(
-    n: int,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    owners: np.ndarray,
-    state_mask: np.ndarray,
-    choice_mask: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Topological levels of the masked sub-MDP, successors first.
-
-    Returns ``(level_of_state, num_levels)`` with ``level_of_state[s] = -1``
-    outside the mask.  States in level ``k`` only depend (transitively,
-    within the mask) on states in levels ``< k`` and on their own strongly
-    connected component.
-    """
-    sel = choice_mask[rows] & state_mask[cols]
-    src = owners[rows[sel]]
-    dst = cols[sel]
-    keep = state_mask[src] & (src != dst)
-    src, dst = src[keep], dst[keep]
-
-    adj = sparse.csr_matrix(
-        (np.ones(src.size, dtype=np.int8), (src, dst)), shape=(n, n)
-    )
-    ncomp, comp = csgraph.connected_components(
-        adj, directed=True, connection="strong"
-    )
-    csrc, cdst = comp[src], comp[dst]
-    cross = csrc != cdst
-    if cross.any():
-        key = csrc[cross].astype(np.int64) * ncomp + cdst[cross]
-        pairs = np.unique(key)
-        esrc = pairs // ncomp
-        edst = pairs % ncomp
-    else:
-        esrc = np.empty(0, dtype=np.int64)
-        edst = np.empty(0, dtype=np.int64)
-
-    relevant = np.zeros(ncomp, dtype=bool)
-    relevant[comp[state_mask]] = True
-    resolved = ~relevant
-    level_of_comp = np.full(ncomp, -1, dtype=np.int64)
-    active = np.ones(esrc.size, dtype=bool)
-    level = 0
-    while True:
-        outdeg = np.bincount(esrc[active], minlength=ncomp)
-        ready = ~resolved & (outdeg == 0)
-        if not ready.any():
-            break
-        level_of_comp[ready] = level
-        resolved |= ready
-        active &= ~resolved[edst]
-        level += 1
-    if not resolved.all():  # pragma: no cover - condensations are acyclic
-        level_of_comp[~resolved] = level
-        level += 1
-    level_of_state = np.where(state_mask, level_of_comp[comp], -1)
-    return level_of_state, level
 
 
 def _mec_info(
@@ -362,17 +295,6 @@ def _deflate(
     usable_cap = np.isfinite(capped)
     states = states[usable_cap]
     np.minimum.at(per_state, states, capped[usable_cap])
-
-
-def _level_targets(epsilon: float, num_levels: int) -> np.ndarray:
-    """Strictly increasing per-level gap targets, all ``<= epsilon``.
-
-    A level's reachable gap is limited by its successors' certified gap;
-    giving earlier (successor) levels strictly tighter targets keeps every
-    level's own target reachable in finitely many sweeps.
-    """
-    k = np.arange(1, num_levels + 1, dtype=float)
-    return epsilon * (0.5 + 0.5 * k / num_levels)
 
 
 def _aitken(
@@ -826,12 +748,12 @@ def solve_probability_interval(
     unknown = ~(zero | one)
     budget = _Budget(max_iterations, "value iteration did not converge")
     if not unknown.any():
-        return IntervalSolution(lower, upper, budget.iterations, 0)
+        return IntervalSolution(lower, upper, budget.iterations)
 
     T = _rows(cm)
-    rows, cols = _entries(cm)
     choice_mask = unknown[owners]
     if maximize:
+        rows, cols = _entries(cm)
         mec_of_state, exit_mask, mec_count = _mec_info(
             n, rows, cols, owners, unknown, choice_mask
         )
@@ -839,29 +761,25 @@ def solve_probability_interval(
         mec_of_state = exit_mask = None
         mec_count = 0
 
-    def make_ops(block_T, block_idx):
-        opt = _make_opt(owners[block_idx], n, maximize)
+    idx = np.flatnonzero(choice_mask)
+    Tu = T[idx]
+    opt = _make_opt(owners[idx], n, maximize)
 
-        def plain(vec: np.ndarray) -> np.ndarray:
-            return opt(block_T @ vec)
+    def plain(vec: np.ndarray) -> np.ndarray:
+        return opt(Tu @ vec)
 
-        def check(vec: np.ndarray) -> np.ndarray:
-            q = block_T @ vec
-            phi = opt(q)
-            if maximize and mec_count:
-                _deflate(phi, q, block_idx, owners, mec_of_state,
-                         exit_mask, mec_count)
-            return phi
-
-        return plain, check
+    def check(vec: np.ndarray) -> np.ndarray:
+        q = Tu @ vec
+        phi = opt(q)
+        if maximize and mec_count:
+            _deflate(phi, q, idx, owners, mec_of_state, exit_mask, mec_count)
+        return phi
 
     if seed is not None:
-        all_idx = np.flatnonzero(choice_mask)
-        _, check_all = make_ops(T[all_idx], all_idx)
         v = np.clip(seed - epsilon if maximize else seed + epsilon, 0.0, 1.0)
         v[one] = 1.0
         v[zero] = 0.0
-        phi = check_all(v)
+        phi = check(v)
         budget.tick()
         tol = 2.0 * _CHECK_RTOL
         if maximize:
@@ -876,44 +794,35 @@ def solve_probability_interval(
         else:
             perf.incr("vi.warm.rejected")
 
-    level_of_state, num_levels = _scc_levels(
-        n, rows, cols, owners, unknown, choice_mask
-    )
-    targets = _level_targets(epsilon, num_levels)
-    for level in range(num_levels):
-        block = unknown & (level_of_state == level)
-        idx = np.flatnonzero(choice_mask & block[owners])
-        plain, check = make_ops(T[idx], idx)
-        target = float(targets[level])
-        states = np.flatnonzero(block)
-        if states.size <= _SPARSE_DIRECT_MAX:
-            x = _policy_fixpoint(
-                states, T[idx], np.zeros(idx.size), owners[idx],
-                0.5 * (lower + upper), block, budget, maximize=maximize,
-            )
-            if x is not None:
-                delta = target / 4.0
-                tol = 2.0 * _CHECK_RTOL
-                cl = np.maximum(np.clip(x - delta, 0.0, 1.0), lower[block])
-                vec = lower.copy()
-                vec[block] = cl
-                budget.tick()
-                if bool(np.all(check(vec)[block] >= cl - tol)):
-                    lower[block] = cl
-                cu = np.minimum(np.clip(x + delta, 0.0, 1.0), upper[block])
-                cu = np.maximum(cu, lower[block])
-                vec = upper.copy()
-                vec[block] = cu
-                budget.tick()
-                if bool(np.all(check(vec)[block] <= cu + tol)):
-                    upper[block] = cu
-        _tighten(lower, upper, block, plain, check, budget,
-                 target=target, hi=1.0)
+    states = np.flatnonzero(unknown)
+    if states.size <= _SPARSE_DIRECT_MAX:
+        x = _policy_fixpoint(
+            states, Tu, np.zeros(idx.size), owners[idx],
+            0.5 * (lower + upper), unknown, budget, maximize=maximize,
+        )
+        if x is not None:
+            delta = epsilon / 4.0
+            tol = 2.0 * _CHECK_RTOL
+            cl = np.maximum(np.clip(x - delta, 0.0, 1.0), lower[unknown])
+            vec = lower.copy()
+            vec[unknown] = cl
+            budget.tick()
+            if bool(np.all(check(vec)[unknown] >= cl - tol)):
+                lower[unknown] = cl
+            cu = np.minimum(np.clip(x + delta, 0.0, 1.0), upper[unknown])
+            cu = np.maximum(cu, lower[unknown])
+            vec = upper.copy()
+            vec[unknown] = cu
+            budget.tick()
+            if bool(np.all(check(vec)[unknown] <= cu + tol)):
+                upper[unknown] = cu
+    _tighten(lower, upper, unknown, plain, check, budget,
+             target=epsilon, hi=1.0)
     # Rounding can cross the bounds by strictly less than one ulp of the
     # sweep arithmetic; restore the invariant without moving either side
     # beyond certification noise.
     np.maximum(upper, lower, out=upper)
-    return IntervalSolution(lower, upper, budget.iterations, num_levels)
+    return IntervalSolution(lower, upper, budget.iterations)
 
 
 def solve_reward_interval(
@@ -933,8 +842,8 @@ def solve_reward_interval(
     ``active`` the states to iterate, ``usable`` the choices that stay in
     the prob-1 region; everything else is ``inf`` on both sides (PRISM
     total-reward semantics).  ``seed`` optionally warm-starts the lower
-    iterate; it is verified per level with one Bellman application and
-    dropped where it fails (``vi.warm.rejected``).
+    iterate; it is verified with one Bellman application and dropped
+    where it fails (``vi.warm.rejected``).
 
     Restricted to ``usable`` choices the sub-MDP is goal-reaching under
     proper policies; for minimization every policy in the restriction is
@@ -942,8 +851,7 @@ def solve_reward_interval(
     (``Phi(u) <= u`` pointwise) certifies the upper bound.  For
     maximization an end component inside the restriction makes the
     supremum infinite; there the guesses never verify and the iteration
-    budget surfaces the divergence as :class:`NonConvergence` — the same
-    contract as the plain solver, now with an explicit mechanism.
+    budget surfaces the divergence as :class:`NonConvergence`.
     """
     n = cm.num_states
     owners = cm.choice_state
@@ -954,26 +862,15 @@ def solve_reward_interval(
     lower[active] = 0.0
     budget = _Budget(max_iterations, "reward iteration did not converge")
     if not active.any():
-        return IntervalSolution(lower, upper, budget.iterations, 0)
+        return IntervalSolution(lower, upper, budget.iterations)
 
     T = _rows(cm)
-    rows, cols = _entries(cm)
-    rewards = cm.choice_reward
-    maximize = not minimize
-
-    level_of_state, num_levels = _scc_levels(
-        n, rows, cols, owners, active, usable
+    idx = np.flatnonzero(usable & active[owners])
+    _solve_reward_block(
+        lower, upper, active, T[idx], cm.choice_reward[idx], owners[idx],
+        budget, epsilon=epsilon, minimize=minimize, seed=seed,
     )
-    targets = _level_targets(epsilon, num_levels)
-    for level in range(num_levels):
-        block = active & (level_of_state == level)
-        idx = np.flatnonzero(usable & block[owners])
-        _solve_reward_level(
-            lower, upper, block, T[idx], rewards[idx], owners[idx], budget,
-            target=float(targets[level]), epsilon=epsilon,
-            minimize=minimize, seed=seed,
-        )
-    return IntervalSolution(lower, upper, budget.iterations, num_levels)
+    return IntervalSolution(lower, upper, budget.iterations)
 
 
 #: Sentinel distinguishing "no presettled policy supplied" (run the full
@@ -991,12 +888,12 @@ def _verify_reward_seed(
     epsilon: float,
     budget: "_Budget",
 ) -> None:
-    """Accept a warm-start candidate for one level's lower iterate.
+    """Accept a warm-start candidate for the block's lower iterate.
 
     The candidate (relaxed down by ``epsilon``, floored at 0) is kept only
     when one Bellman application confirms it sits below the fixpoint;
     rejections cold-start and count as ``vi.warm.rejected``.  Shared by
-    the solo per-level body and the batched kernel so the verification
+    the solo block body and the batched kernel so the verification
     arithmetic can never drift apart.
     """
     v = lower.copy()
@@ -1010,7 +907,7 @@ def _verify_reward_seed(
         perf.incr("vi.warm.rejected")
 
 
-def _solve_reward_level(
+def _solve_reward_block(
     lower: np.ndarray,
     upper: np.ndarray,
     block: np.ndarray,
@@ -1019,15 +916,14 @@ def _solve_reward_level(
     own: np.ndarray,
     budget: _Budget,
     *,
-    target: float,
     epsilon: float,
     minimize: bool,
     seed: np.ndarray | None,
     presettled=_NO_PRESETTLE,
 ) -> None:
-    """Solve one condensation level of a total-reward objective in place.
+    """Solve the active block of a total-reward objective in place.
 
-    The per-level body of :func:`solve_reward_interval`, split out so the
+    The body of :func:`solve_reward_interval`, split out so the
     batched kernel (:mod:`.batch`) can drive the identical sequence of
     operations per model while replacing only the value-iteration settling
     prelude with its vectorized counterpart.  ``presettled`` is either the
@@ -1072,7 +968,7 @@ def _solve_reward_level(
             x = _pi_finish(states, Tl, Tblock, base, own, block, held,
                            budget, maximize=False)
         if x is not None:
-            delta = target / 4.0
+            delta = epsilon / 4.0
             cl = np.maximum(lower[block], x - delta)
             vec = lower.copy()
             vec[block] = cl
@@ -1095,7 +991,7 @@ def _solve_reward_level(
     # residual-based: sweeping continues past the residual floor until
     # the windowed geometric estimate of the remaining distance drops
     # to the OVI offset Phase B will guess — so the verified upper
-    # lands within the level target and Phase C has nothing left to
+    # lands within ``epsilon`` and Phase C has nothing left to
     # grind.  A stall valve bounds the extra sweeps in case the rate
     # estimate refuses to certify progress (Phase C then takes over,
     # exactly as before).
@@ -1107,7 +1003,7 @@ def _solve_reward_level(
     delta_mark = np.inf
     hist: list[float] = []
     stalled = 0
-    resid_floor = max(target / 4.0, 1e-300)
+    resid_floor = max(epsilon / 4.0, 1e-300)
     while True:
         budget.tick()
         sweeps += 1
@@ -1122,7 +1018,7 @@ def _solve_reward_level(
             w = min(len(hist) - 1, 8)
             err = _window_error(delta, delta, hist[-1 - w], w) if w else 0.0
             stalled += 1
-            if err <= target / 2.0 or stalled > 4 * _EXTRAP_EVERY:
+            if err <= epsilon / 2.0 or stalled > 4 * _EXTRAP_EVERY:
                 break
         if sweeps - mark < _EXTRAP_EVERY or prev_d is None:
             continue
@@ -1143,7 +1039,7 @@ def _solve_reward_level(
             est = new_est
         err = _window_error(resid, delta, delta_then, window)
         reach = float(np.max(est - lower[block]))
-        slack = max(target / 4.0, min(err, reach / 4.0))
+        slack = max(epsilon / 4.0, min(err, reach / 4.0))
         for _ in range(2):
             cand = np.maximum(lower[block], est - slack)
             if float(np.max(cand - lower[block])) <= 0.0:
@@ -1172,7 +1068,7 @@ def _solve_reward_level(
         error_estimate = 0.0
 
     # Phase B: optimistic upper guess + verification.
-    offset = max(min(error_estimate, 1e12), target / 2.0)
+    offset = max(min(error_estimate, 1e12), epsilon / 2.0)
     accepted = False
     while not accepted:
         upper[block] = lower[block] + offset
@@ -1191,7 +1087,7 @@ def _solve_reward_level(
         if not accepted:
             offset *= _OVI_GROWTH
 
-    # Phase C: tighten jointly (with acceleration) to the level target.
+    # Phase C: tighten jointly (with acceleration) to ``epsilon``.
     _tighten(lower, upper, block, phi_of, phi_of, budget,
-             target=target, hi=np.inf)
+             target=epsilon, hi=np.inf)
     np.maximum(upper, lower, out=upper)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -99,3 +103,22 @@ class TestCapacitanceSlope:
         slope, r2 = fit_capacitance_slope(n, cap)
         assert slope == pytest.approx(1e-16, rel=1e-6)
         assert r2 == pytest.approx(1.0)
+
+
+def test_run_path_does_not_import_scipy_optimize():
+    """Only fitting needs scipy.optimize; the run path must not pay for it."""
+    code = (
+        "import sys\n"
+        "import repro.cli, repro.bioassay.planner, repro.biochip.simulator\n"
+        "import repro.core.baseline, repro.core.scheduler\n"
+        "import repro.core.synthesis, repro.modelcheck.batch, repro.engine\n"
+        "import repro.degradation\n"
+        "sys.exit('scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env)
+    assert proc.returncode == 0, "the run path imported scipy.optimize"

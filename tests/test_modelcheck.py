@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from repro import perf
 from repro.modelcheck.compiled import (
     compile_mdp,
-    solve_prob1e,
     solve_reach_avoid_probability,
     solve_reach_avoid_reward,
 )
 from repro.modelcheck.model import MDP, Choice
+from repro.modelcheck.precompute import prob1e_mask
 from repro.modelcheck.properties import (
     Objective,
     probability_query,
@@ -258,7 +258,7 @@ class TestCompiledAgainstReference:
         mdp = random_mdp(seed)
         ref = prob1e(mdp)
         cm = compile_mdp(mdp)
-        vec = solve_prob1e(cm)
+        vec = prob1e_mask(cm, cm.label_mask("goal"), cm.label_mask("hazard"))
         assert set(np.flatnonzero(vec)) == ref
 
     @given(st.integers(0, 10_000))
@@ -348,18 +348,6 @@ class TestRegressionSeeds:
         np.testing.assert_allclose(
             vec.values[finite], ref.values[finite], atol=1e-5
         )
-
-    def test_seed_1186_plain_solver_still_diverges(self):
-        """The uncertified legacy path keeps the original failure mode —
-        documenting exactly what the certified pipeline fixes."""
-        from repro.modelcheck.interval import NonConvergence
-
-        cm = compile_mdp(random_mdp(1186))
-        with pytest.raises(NonConvergence):
-            solve_reach_avoid_probability(
-                cm, maximize=False, epsilon=1e-10, certified=False,
-                max_iterations=10_000,
-            )
 
 
 class TestWarmStartValidation:
@@ -468,16 +456,6 @@ class TestTrapStates:
         assert res.values[mdp.state_index["dead"]] == 0.0
         assert res.upper[mdp.state_index["dead"]] == 0.0
 
-    def test_trap_pinned_in_plain_solver_too(self):
-        mdp = self.trap_mdp()
-        cm = compile_mdp(mdp)
-        seed = np.zeros(cm.num_states)
-        seed[mdp.state_index["dead"]] = 0.9
-        res = solve_reach_avoid_probability(
-            cm, epsilon=1e-10, initial_values=seed, certified=False
-        )
-        assert res.values[mdp.state_index["dead"]] == 0.0
-
 
 class TestUnreachableGoal:
     """Walled / disconnected chips: goal unreachable from the start."""
@@ -524,3 +502,62 @@ class TestUnreachableGoal:
             res = solve_reach_avoid_probability(cm, maximize=maximize)
             assert res.values[cm.initial] == 0.0
             assert res.upper[cm.initial] == 0.0
+
+
+def layered_mdp(layers: int) -> MDP:
+    """A chain of two-state strongly connected layers with a hazard leak.
+
+    Layer ``k`` holds ``a{k}`` and ``b{k}``, which can cycle between each
+    other; ``a{k}`` exits to the next layer and the last layer exits to
+    ``goal``.  Each state has a safe choice and a cheaper one that leaks
+    into ``hazard``, so ``Pmin`` takes the leaks while ``Rmin`` (restricted
+    to choices that reach the goal surely) keeps the safe ones — and every
+    layer is its own condensation level under both objectives.
+    """
+    mdp = MDP()
+    mdp.set_initial("a0")
+    for k in range(layers):
+        a, b = f"a{k}", f"b{k}"
+        nxt = f"a{k + 1}" if k + 1 < layers else "goal"
+        mdp.add_choice(a, "safe", [(b, 0.5), (nxt, 0.5)], reward=1.0)
+        mdp.add_choice(
+            a, "risky", [(nxt, 0.8), (b, 0.1), ("hazard", 0.1)], reward=0.5
+        )
+        mdp.add_choice(b, "back", [(a, 1.0)], reward=1.0)
+        mdp.add_choice(b, "leak", [(a, 0.9), ("hazard", 0.1)], reward=0.5)
+    mdp.add_label("goal", "goal")
+    mdp.add_label("hazard", "hazard")
+    return mdp
+
+
+class TestDeepLayeredModel:
+    """Deep chains of small SCCs solve as one block in a few iterations."""
+
+    def test_pmin_certified_quickly(self):
+        cm = compile_mdp(layered_mdp(1000))
+        res = solve_reach_avoid_probability(
+            cm, maximize=False, epsilon=1e-9, max_iterations=100
+        )
+        assert_certified(res, 1e-9)
+        assert res.iterations <= 100
+
+    def test_rmin_certified_quickly(self):
+        cm = compile_mdp(layered_mdp(1000))
+        res = solve_reach_avoid_reward(cm, epsilon=1e-9, max_iterations=100)
+        assert_certified(res, 1e-9)
+        assert np.isfinite(res.values[cm.initial])
+        assert res.iterations <= 100
+
+    def test_agrees_with_reference(self):
+        mdp = layered_mdp(50)
+        cm = compile_mdp(mdp)
+        pmin = solve_reach_avoid_probability(cm, maximize=False, epsilon=1e-10)
+        ref = reach_avoid_probability(mdp, maximize=False, epsilon=1e-12)
+        np.testing.assert_allclose(pmin.values, ref.values, atol=1e-8)
+        rmin = solve_reach_avoid_reward(cm, epsilon=1e-10)
+        ref = reach_avoid_reward(mdp, epsilon=1e-12)
+        finite = np.isfinite(ref.values)
+        assert (np.isfinite(rmin.values) == finite).all()
+        np.testing.assert_allclose(
+            rmin.values[finite], ref.values[finite], rtol=1e-8
+        )
