@@ -6,28 +6,33 @@ two pipelines produce the same model statistics and the same synthesis
 values — but built for the synthesis hot loop:
 
 * droplet patterns are plain ``(xa, ya, xb, yb)`` int tuples;
-* per-(shape, action) metadata (guards, frontier rectangles, successor
-  patterns) is compiled once per *process* into a global memo keyed by
-  ``(w, h, max_aspect, families)`` and shifted per state;
+* each droplet shape's actions (guards, frontier rectangles, outcome
+  factors, successor offsets) are compiled once per *process* into a
+  :class:`_ShapeTable`, memoized by ``(w, h, max_aspect, families)``;
 * frontier means come from a 2-D prefix sum of the force matrix, so every
   leg probability is O(1);
-* state expansion is *vectorized over BFS wavefronts*: every state of a
-  wave with the same droplet shape is expanded with numpy array ops (leg
-  probabilities, outcome products, hazard/obstacle checks, successor
-  dedup through a per-shape id grid) instead of a per-state Python loop;
-* transitions are emitted into chunked numpy buffers and assembled into
-  CSR form directly, skipping the explicit model objects entirely.
+* one per-shape kernel (:func:`_shape_values`) computes the probabilities
+  of every outcome of every action of a shape at every anchor as one
+  ``(outcomes, k)`` matrix; successors, hazard and obstacle checks are
+  ``(outcomes, k)`` array ops too, with no per-action Python loop;
+* transitions are assembled into canonical CSR form directly, skipping the
+  explicit model objects entirely.
+
+A template-cached rebuild for new forces (:func:`_revalue_template`) runs
+the same kernel and the same CSR assembly as the cold build, so the two are
+bit-identical.
 
 :func:`build_routing_model_scalar` keeps the original per-state Python
 expansion.  It is the pre-fast-path pipeline: the differential tests check
-the vectorized builder against it (and against the reference explicit
-builder), and ``benchmarks/bench_synthesis.py`` measures the speedup of
-the fast path over it.
+the cold and the revalued fast build against it bit for bit, and
+``benchmarks/bench_synthesis.py`` measures the speedup of the fast path
+over it.
 
 Only matrix-backed force fields are supported (the synthesizer's health
 estimates and the baseline's uniform field both are); exotic fields fall
 back to the explicit builder in :mod:`repro.core.synthesis`.
 """
+
 
 from __future__ import annotations
 
@@ -167,14 +172,120 @@ def _spec_for(base: Rect, action: Action) -> _ActionSpec:
     )
 
 
-#: Process-global memo of per-shape action semantics.  Key: droplet shape,
+@dataclass(frozen=True)
+class _ShapeTable:
+    """One droplet shape's actions compiled for the per-shape kernel.
+
+    Outcome rows are in *emission order*: per action, its moving outcomes,
+    then its stay.  ``factor_rows[o, j]`` is the row of
+    ``[probs; 1 - probs; ones]`` outcome ``o`` multiplies by at leg
+    position ``j`` (the ones row for a leg the outcome never attempts, as
+    a DOUBLE's first-leg failure).  Leg offsets and successor offsets are
+    ``(·, 1)`` columns that broadcast against a ``(k,)`` anchor batch.
+    """
+
+    specs: tuple[_ActionSpec, ...]
+    names: tuple[str, ...]
+    #: Stacked leg frontiers of all actions, offsets from ``(xa, ya)``.
+    leg_dxa: np.ndarray
+    leg_dya: np.ndarray
+    leg_dxb: np.ndarray
+    leg_dyb: np.ndarray
+    leg_area: np.ndarray
+    factor_rows: np.ndarray
+    #: Action index of each outcome row.
+    row_action: np.ndarray
+    #: Rows of the moving outcomes and their successor ``(dxa, dya, w, h)``;
+    #: ``move_shape`` indexes ``succ_shapes`` (first-appearance order).
+    move_rows: np.ndarray
+    move_dxa: np.ndarray
+    move_dya: np.ndarray
+    move_w: np.ndarray
+    move_h: np.ndarray
+    move_shape: np.ndarray
+    succ_shapes: tuple[tuple[int, int], ...]
+    #: Row of each action's (single) staying outcome.
+    stay_rows: np.ndarray
+
+
+def _compile_shape_table(
+    w: int, h: int, max_aspect: float,
+    families: tuple[ActionClass, ...] | None,
+) -> _ShapeTable:
+    specs = tuple(_compile_shape_actions(w, h, max_aspect, families=families))
+    legs = [leg for spec in specs for leg in spec.legs]
+    ones = 2 * len(legs)
+    width = max((len(spec.legs) for spec in specs), default=1)
+    factor_rows: list[list[int]] = []
+    row_action: list[int] = []
+    move_rows: list[int] = []
+    moves: list[tuple[int, int, int, int]] = []
+    stay_rows: list[int] = []
+    leg_base = 0
+    for a, spec in enumerate(specs):
+        moving = [o for o in spec.outcomes if o[1] is not None]
+        stays = [o for o in spec.outcomes if o[1] is None]
+        assert len(stays) == 1, "every action has exactly one staying outcome"
+        for pattern, succ in moving + stays:
+            row = [leg_base + j + (0 if ok else len(legs))
+                   for j, ok in enumerate(pattern)]
+            if succ is None:
+                stay_rows.append(len(factor_rows))
+            else:
+                move_rows.append(len(factor_rows))
+                moves.append(succ)
+            factor_rows.append(row + [ones] * (width - len(row)))
+            row_action.append(a)
+        leg_base += len(spec.legs)
+    succ_shapes = tuple(dict.fromkeys((m[2], m[3]) for m in moves))
+    move = np.array(moves, dtype=np.int64).reshape(-1, 4)
+    leg = np.array(
+        [(g.dxa, g.dya, g.dxb, g.dyb) for g in legs], dtype=np.int64
+    ).reshape(-1, 4)
+    return _ShapeTable(
+        specs=specs,
+        names=tuple(spec.name for spec in specs),
+        leg_dxa=leg[:, 0:1], leg_dya=leg[:, 1:2],
+        leg_dxb=leg[:, 2:3], leg_dyb=leg[:, 3:4],
+        leg_area=((leg[:, 2:3] - leg[:, 0:1] + 1)
+                  * (leg[:, 3:4] - leg[:, 1:2] + 1)).astype(float),
+        factor_rows=np.array(factor_rows, dtype=np.int64).reshape(-1, width),
+        row_action=np.array(row_action, dtype=np.int64),
+        move_rows=np.array(move_rows, dtype=np.int64),
+        move_dxa=move[:, 0:1], move_dya=move[:, 1:2],
+        move_w=move[:, 2:3], move_h=move[:, 3:4],
+        move_shape=np.array(
+            [succ_shapes.index((m[2], m[3])) for m in moves], dtype=np.int64
+        ).reshape(-1, 1),
+        succ_shapes=succ_shapes,
+        stay_rows=np.array(stay_rows, dtype=np.int64),
+    )
+
+
+#: Process-global memo of per-shape action tables.  Key: droplet shape,
 #: aspect bound and (normalized) family restriction; value: the compiled
-#: specs.  Shape semantics are position-independent, so one compilation
-#: serves every model build in the process.
+#: :class:`_ShapeTable`.  Shape semantics are position-independent, so one
+#: compilation serves every model build in the process.
 _SHAPE_ACTION_MEMO: dict[
-    tuple[int, int, float, tuple[ActionClass, ...] | None],
-    tuple[_ActionSpec, ...],
+    tuple[int, int, float, tuple[ActionClass, ...] | None], _ShapeTable,
 ] = {}
+
+
+def _shape_table(
+    w: int, h: int, max_aspect: float,
+    families: tuple[ActionClass, ...] | None = None,
+) -> _ShapeTable:
+    """Memoized per-shape action table (see :data:`_SHAPE_ACTION_MEMO`)."""
+    key = (w, h, float(max_aspect),
+           families if families is None else tuple(families))
+    table = _SHAPE_ACTION_MEMO.get(key)
+    if table is None:
+        perf.incr("fastmdp.shape_memo.miss")
+        table = _compile_shape_table(w, h, max_aspect, key[3])
+        _SHAPE_ACTION_MEMO[key] = table
+    else:
+        perf.incr("fastmdp.shape_memo.hit")
+    return table
 
 
 def compiled_shape_actions(
@@ -182,22 +293,12 @@ def compiled_shape_actions(
     families: tuple[ActionClass, ...] | None = None,
 ) -> tuple[_ActionSpec, ...]:
     """Memoized per-shape action semantics (see :data:`_SHAPE_ACTION_MEMO`)."""
-    key = (w, h, float(max_aspect),
-           families if families is None else tuple(families))
-    specs = _SHAPE_ACTION_MEMO.get(key)
-    if specs is None:
-        perf.incr("fastmdp.shape_memo.miss")
-        specs = tuple(_compile_shape_actions(w, h, max_aspect,
-                                             families=key[3]))
-        _SHAPE_ACTION_MEMO[key] = specs
-    else:
-        perf.incr("fastmdp.shape_memo.hit")
-    return specs
+    return _shape_table(w, h, max_aspect, families).specs
 
 
 def clear_shape_action_memo() -> None:
-    """Drop the global action-spec memo (benches use this to model a cold
-    process; regular code never needs it — specs are immutable)."""
+    """Drop the global action-table memo (benches use this to model a cold
+    process; regular code never needs it — tables are immutable)."""
     _SHAPE_ACTION_MEMO.clear()
 
 
@@ -381,51 +482,32 @@ def build_routing_model_scalar(
     )
 
 
-def _gathered_probs(
-    pf: np.ndarray, gather: np.ndarray, valid: np.ndarray, area: np.ndarray
-) -> np.ndarray:
-    """Leg probabilities from a flat force prefix and a gather record.
+def _force_prefix(forces: np.ndarray) -> np.ndarray:
+    width, height = forces.shape
+    prefix = np.zeros((width + 1, height + 1))
+    prefix[1:, 1:] = forces.cumsum(axis=0).cumsum(axis=1)
+    return prefix
 
-    ``gather`` holds the four flat prefix indices of each clamped rect
-    corner, ``(4, L, k)`` for L legs over a k-position batch; ``valid``
-    masks empty-overlap rows and ``area`` is the per-leg rect area.  The
-    corner combination runs left-to-right exactly as the recording build's
-    2-D indexing did, so the result is bit-identical.
+
+def _leg_gather(
+    table: _ShapeTable, xa: np.ndarray, ya: np.ndarray,
+    width: int, height: int, window: tuple[int, int, int, int],
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Vectorized ``rect_mean`` lookups of every leg over a position batch.
+
+    Returns ``(gather, valid)``: the four flat force-prefix indices of each
+    clamped leg-rect corner, ``(4, L, k)``, and the ``(L, k)`` mask of
+    non-empty overlaps.  The prefix is local to ``window`` (see
+    :func:`_read_window`) while the clamps stay in global chip coordinates,
+    so the arithmetic is position-independent.  It is pure geometry —
+    constant across force matrices — which is why a template records it
+    once and every revalue skips straight to the prefix gathers.
     """
-    total = pf[gather[0]] - pf[gather[1]] - pf[gather[2]] + pf[gather[3]]
-    return np.where(valid, total / area, 0.0)
-
-
-def _stack_leg_probs(
-    prefix: np.ndarray, width: int, height: int,
-    xa: np.ndarray, ya: np.ndarray, legs: "tuple[_LegSpec, ...]",
-    ox: int, oy: int,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
-    """Vectorized ``rect_mean`` over a position batch for all legs at once.
-
-    Returns ``(probs, gather, valid, area)`` where ``probs`` is ``(L, k)``
-    and the rest is the :func:`_gathered_probs` record the revalue path
-    replays.  ``prefix`` is a window-local force prefix offset by
-    ``(ox, oy)`` force cells from the chip origin (see
-    :func:`_read_window`); the clamps stay in global chip coordinates so
-    the arithmetic is position-independent.  The clamp/index arithmetic is
-    pure geometry — constant across force matrices — which is why it can
-    be recorded once and skipped on every revalue.
-    """
-    k = xa.size
-    if not legs:
-        return (
-            np.zeros((0, k)), np.zeros((4, 0, k), dtype=np.int64),
-            np.zeros((0, k), dtype=bool), np.zeros((0, 1)),
-        )
-    dxa = np.array([leg.dxa for leg in legs], dtype=np.int64)[:, None]
-    dya = np.array([leg.dya for leg in legs], dtype=np.int64)[:, None]
-    dxb = np.array([leg.dxb for leg in legs], dtype=np.int64)[:, None]
-    dyb = np.array([leg.dyb for leg in legs], dtype=np.int64)[:, None]
-    cxa = np.maximum(xa[None, :] + dxa, 1)
-    cya = np.maximum(ya[None, :] + dya, 1)
-    cxb = np.minimum(xa[None, :] + dxb, width)
-    cyb = np.minimum(ya[None, :] + dyb, height)
+    ox, _, oy, y1 = window
+    cxa = np.maximum(xa + table.leg_dxa, 1)
+    cya = np.maximum(ya + table.leg_dya, 1)
+    cxb = np.minimum(xa + table.leg_dxb, width)
+    cyb = np.minimum(ya + table.leg_dyb, height)
     valid = (cxb >= cxa) & (cyb >= cya)
     # Clamp the lookup indices so invalid (empty-overlap) rows index
     # safely; their values are discarded by the mask.  One-sided clamps
@@ -434,111 +516,101 @@ def _stack_leg_probs(
     iyb = np.maximum(cyb, 0) - oy
     ixa = np.minimum(cxa - 1, width) - ox
     iya = np.minimum(cya - 1, height) - oy
-    ph = prefix.shape[1]
+    ph = y1 - oy + 1
     gather = np.stack(
         [ixb * ph + iyb, ixa * ph + iyb, ixb * ph + iya, ixa * ph + iya]
     )
-    area = ((dxb - dxa + 1) * (dyb - dya + 1)).astype(float)
-    return _gathered_probs(prefix.ravel(), gather, valid, area), \
-        gather, valid, area
+    return gather, valid
 
 
-def _force_prefix(forces: np.ndarray) -> np.ndarray:
-    width, height = forces.shape
-    prefix = np.zeros((width + 1, height + 1))
-    prefix[1:, 1:] = forces.cumsum(axis=0).cumsum(axis=1)
-    return prefix
+def _shape_values(
+    prefix: np.ndarray, table: _ShapeTable,
+    gather: np.ndarray, valid: np.ndarray, k: int,
+) -> np.ndarray:
+    """The ``(outcomes, k)`` outcome probabilities of one shape's actions.
+
+    The one kernel both the cold build and a template revalue run.  Leg
+    probabilities are frontier means from the flat force ``prefix``; each
+    outcome multiplies its leg factors left to right (an unattempted leg
+    contributes an exact 1.0), element for element the arithmetic of
+    :func:`build_routing_model_scalar`.  Rows follow the table's emission
+    order.
+    """
+    total = (
+        prefix[gather[0]] - prefix[gather[1]]
+        - prefix[gather[2]] + prefix[gather[3]]
+    )
+    probs = np.where(valid, total / table.leg_area, 0.0)
+    factors = np.concatenate([probs, 1.0 - probs, np.ones((1, k))])
+    values = factors[table.factor_rows[:, 0]]
+    for j in range(1, table.factor_rows.shape[1]):
+        values *= factors[table.factor_rows[:, j]]
+    return values
+
+
+def _sum_runs(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sum each run ``values[starts[i]:starts[i + 1]]`` left to right.
+
+    This is the order scipy's ``sum_duplicates`` adds duplicate entries
+    in; ``np.add.reduceat`` promises no order and rounds some three-entry
+    runs differently.  Runs are a choice's outcomes that share a successor
+    (in practice several outcomes landing in the hazard sink), so they are
+    a few entries long.
+    """
+    out = values[starts]
+    if out.size:
+        length = np.diff(starts, append=values.size)
+        for j in range(1, int(length.max())):
+            more = np.flatnonzero(length > j)
+            out[more] += values[starts[more] + j]
+    return out
 
 
 def _read_window(
     hz: tuple, hz_w: int, hz_h: int,
-    shapes: "list[tuple[int, int]]",
-    specs_by_shape: "list[tuple[_ActionSpec, ...]]",
+    shapes: "list[tuple[int, int]]", tables: "list[_ShapeTable]",
     width: int, height: int,
 ) -> tuple[int, int, int, int]:
     """The force-cell window ``[x0:x1, y0:y1]`` a build can read.
 
     Every leg-probability lookup indexes the force prefix at clamped rect
-    corners; the clamps are monotone in the anchor coordinate, so the
-    extremes over a shape's anchor range bound every lookup.  The build
-    sums forces over a prefix *local to this window*, which makes the
-    model a pure function of ``forces[x0:x1, y0:y1]`` — the foundation of
-    the batch kernel's fingerprint-level dedup (identical window bytes
-    imply a bit-identical model).
+    corners; the clamps are monotone in the anchor coordinate and the leg
+    offset, so the extreme offsets over a shape's anchor range bound every
+    lookup.  The build sums forces over a prefix *local to this window*,
+    which makes the model a pure function of ``forces[x0:x1, y0:y1]`` —
+    the foundation of the batch kernel's fingerprint-level dedup
+    (identical window bytes imply a bit-identical model).
     """
     x0, x1 = width, 0
     y0, y1 = height, 0
-    for si, (w, h) in enumerate(shapes):
-        ax_lo, ax_hi = hz[0], hz[0] + (hz_w - w)
-        ay_lo, ay_hi = hz[1], hz[1] + (hz_h - h)
-        for spec in specs_by_shape[si]:
-            for leg in spec.legs:
-                x0 = min(x0, min(max(ax_lo + leg.dxa, 1) - 1, width))
-                x1 = max(x1, max(min(ax_hi + leg.dxb, width), 0))
-                y0 = min(y0, min(max(ay_lo + leg.dya, 1) - 1, height))
-                y1 = max(y1, max(min(ay_hi + leg.dyb, height), 0))
+    for (w, h), t in zip(shapes, tables):
+        if not t.leg_dxa.size:
+            continue
+        ax_hi, ay_hi = hz[0] + (hz_w - w), hz[1] + (hz_h - h)
+        x0 = min(x0, min(max(hz[0] + int(t.leg_dxa.min()), 1) - 1, width))
+        x1 = max(x1, max(min(ax_hi + int(t.leg_dxb.max()), width), 0))
+        y0 = min(y0, min(max(hz[1] + int(t.leg_dya.min()), 1) - 1, height))
+        y1 = max(y1, max(min(ay_hi + int(t.leg_dyb.max()), height), 0))
     if x1 < x0:  # no legs at all: degenerate empty window at the origin
         x0 = x1 = y0 = y1 = 0
     return x0, x1, y0, y1
 
 
 @dataclass
-class _SpecRecord:
-    """Support record of one ``(shape, action)`` pair in a build template.
+class _ShapeRecord:
+    """One droplet shape of a build template.
 
-    ``emits`` holds one boolean mask per *moving* outcome (``succ`` not
-    None) in spec order — ``True`` where the outcome had positive
-    probability; ``stay_emit`` is the same for the aggregated stay outcome.
-    The transition *structure* (targets, reachability, renumbering) depends
-    on the force matrix only through these masks, so a revalue is valid
-    exactly when they are unchanged.
+    ``gather``/``valid`` are the :func:`_leg_gather` record for the shape's
+    non-goal anchors and ``emit`` the ``(outcomes, k)`` support of the
+    recording build.  The transition *structure* (targets, reachability,
+    renumbering) depends on the force matrix only through ``emit``, so a
+    revalue is valid exactly when the support is unchanged.
     """
 
-    spec: _ActionSpec
-    emits: list[np.ndarray]
-    stay_emit: np.ndarray | None = None
-    # Precomputed :func:`_gathered_probs` record — the clamp/index geometry
-    # is force-independent, so revalues skip straight to the prefix gathers.
-    gather: np.ndarray | None = None
-    valid: np.ndarray | None = None
-    area: np.ndarray | None = None
-
-
-@dataclass
-class _ShapeRecord:
-    xa: np.ndarray
-    ya: np.ndarray
-    specs: list[_SpecRecord]
-    # Shape-level replay tables, built lazily by :func:`_fuse_shape_records`
-    # on the first revalue: every spec's gather record concatenated (one
-    # prefix gather per shape) plus the outcome products of ALL specs
-    # compiled into one ``(outcomes, k)`` matrix computation.  All of it is
-    # force-independent geometry, so it is recorded once and replayed.
-    fused_gather: np.ndarray | None = None
-    fused_valid: np.ndarray | None = None
-    fused_area: np.ndarray | None = None
-    #: Per outcome and leg position: the ``probs_all`` row the factor comes
-    #: from, whether the leg must succeed, and whether the outcome attempts
-    #: it at all (a DOUBLE's first-leg failure has a shorter pattern than
-    #: its leg count; unused legs multiply by exactly 1.0, a bit-exact
-    #: no-op).
-    leg_index: np.ndarray | None = None
-    leg_success: np.ndarray | None = None
-    leg_used: np.ndarray | None = None
-    #: Moving outcomes: rows into the outcome-product matrix, and their
-    #: recorded support masks stacked for one comparison.
-    succ_rows: np.ndarray | None = None
-    emit_matrix: np.ndarray | None = None
-    #: Staying outcomes, accumulated per spec in appearance order: step ``s``
-    #: adds ``P[p_rows]`` into ``S[spec_idx]`` — sequential adds, identical
-    #: to the scalar loop's ``stay_p += p``.
-    stay_steps: "tuple[tuple[np.ndarray, np.ndarray], ...] | None" = None
-    stay_emit_matrix: np.ndarray | None = None
-    #: Gather reproducing the build's exact chunk order (per spec: moving
-    #: outcomes' positive entries, then the stay outcome's) from the matrix
-    #: ``vstack([P[succ_rows], S])``.
-    val_rows: np.ndarray | None = None
-    val_cols: np.ndarray | None = None
+    table: _ShapeTable
+    gather: np.ndarray
+    valid: np.ndarray
+    emit: np.ndarray
 
 
 @dataclass
@@ -547,32 +619,24 @@ class _BuildTemplate:
 
     A template is recorded on the first (full) build for a job geometry and
     replayed by :func:`_revalue_template` for later builds that differ only
-    in the force matrix: the per-outcome probabilities are recomputed, the
-    support masks validated against :class:`_SpecRecord`, and the CSR
-    transition matrix reassembled through the same scipy calls — producing
-    a model bit-identical to a fresh build at a fraction of the cost.
+    in the force matrix.  Both run the same per-shape kernel
+    (:func:`_shape_values`) and the same canonical CSR assembly
+    (:func:`_instantiate`), so a revalued model is bit-identical to a
+    fresh build at a fraction of the cost.
     """
 
     shapes: list[_ShapeRecord]
     #: Force-cell window ``forces[x0:x1, y0:y1]`` the build reads — the
     #: model is a pure function of this slice (see :func:`_read_window`).
     window: tuple[int, int, int, int] = (0, 0, 0, 0)
-    # CSR assembly skeleton (None tmask = the no-transitions edge case).
-    tmask: np.ndarray | None = None
-    t_order: np.ndarray | None = None
-    cols_sorted: np.ndarray | None = None
-    indptr: np.ndarray | None = None
-    # Canonical-CSR shortcut recorded by probing scipy's own
-    # canonicalization (see ``_build_fast``): ``torder2`` permutes the kept
-    # values straight into scipy's post-``sort_indices`` order and
-    # ``starts`` marks each duplicate run, so a revalue assembles the final
-    # matrix with one ``np.add.reduceat`` instead of re-sorting.  ``None``
-    # when the one-time probe self-check failed (revalue then falls back to
-    # the ``sum_duplicates`` path).
-    torder2: np.ndarray | None = None
+    # Canonical CSR skeleton (None ``order`` = the no-transitions edge
+    # case): ``order`` gathers the emitted values straight into scipy's
+    # canonical (row, column) order, ``starts`` marks each duplicate run
+    # there, and ``indices``/``indptr`` are the canonical structure.
+    order: np.ndarray | None = None
     starts: np.ndarray | None = None
-    final_indices: np.ndarray | None = None
-    final_indptr: np.ndarray | None = None
+    indices: np.ndarray | None = None
+    indptr: np.ndarray | None = None
     num_choices: int = 0
     n: int = 0
     # Shared (read-only) model components.
@@ -590,9 +654,7 @@ class _BuildTemplate:
 _TEMPLATE_CACHE: "dict[tuple, _BuildTemplate]" = {}
 _TEMPLATE_CACHE_MAX = 64
 
-#: Guards cache mutation and the lazy per-template fuse.  The serve layer
-#: runs builds on worker threads, and two workers revaluing the same
-#: template must not observe a half-published replay table.
+#: Guards cache mutation.  The serve layer runs builds on worker threads.
 _TEMPLATE_LOCK = threading.Lock()
 
 
@@ -603,102 +665,41 @@ def clear_build_template_cache() -> None:
         _TEMPLATE_CACHE.clear()
 
 
-def _fuse_shape_records(sh: _ShapeRecord, k: int) -> None:
-    """Precompute a shape's revalue replay tables (once per template).
-
-    Concatenates the per-spec gather records so one prefix gather serves
-    the whole shape, and compiles every spec's outcome list into the
-    tables :func:`_revalue_template` replays as a handful of whole-shape
-    array operations.  Everything here is force-independent geometry.
-
-    ``fused_gather`` doubles as the "tables are ready" sentinel for
-    concurrent revaluers, so it is assigned *last*: a reader that sees it
-    non-``None`` is guaranteed every other table was published first.
-    """
-    fused_gather = (
-        np.concatenate([rec.gather for rec in sh.specs], axis=1)
-        if sh.specs else np.zeros((4, 0, k), dtype=np.int64)
-    )
-    sh.fused_valid = (
-        np.concatenate([rec.valid for rec in sh.specs])
-        if sh.specs else np.zeros((0, k), dtype=bool)
-    )
-    sh.fused_area = (
-        np.concatenate([rec.area for rec in sh.specs])
-        if sh.specs else np.zeros((0, 1))
-    )
-    max_legs = max(
-        (rec.gather.shape[1] for rec in sh.specs), default=0
-    )
-    total = sum(len(rec.spec.outcomes) for rec in sh.specs)
-    leg_index = np.zeros((total, max_legs), dtype=np.int64)
-    leg_success = np.zeros((total, max_legs), dtype=bool)
-    leg_used = np.zeros((total, max_legs), dtype=bool)
-    succ_rows: "list[int]" = []
-    stay_of_spec: "list[list[int]]" = []  # per spec: P rows, in order
-    emit_rows: "list[np.ndarray]" = []
-    stay_emits: "list[np.ndarray]" = []
-    row = 0
-    leg_base = 0
-    for rec in sh.specs:
-        stay_rows: "list[int]" = []
-        for pattern, succ in rec.spec.outcomes:
-            for j, success in enumerate(pattern):
-                leg_index[row, j] = leg_base + j
-                leg_success[row, j] = success
-                leg_used[row, j] = True
-            (stay_rows if succ is None else succ_rows).append(row)
-            row += 1
-        stay_of_spec.append(stay_rows)
-        emit_rows.extend(rec.emits)
-        stay_emits.append(rec.stay_emit)
-        leg_base += rec.gather.shape[1]
-    sh.leg_index = leg_index
-    sh.leg_success = leg_success
-    sh.leg_used = leg_used
-    sh.succ_rows = np.asarray(succ_rows, dtype=np.int64)
-    sh.emit_matrix = (
-        np.stack(emit_rows) if emit_rows else np.zeros((0, k), dtype=bool)
-    )
-    steps = []
-    for depth in range(max((len(s) for s in stay_of_spec), default=0)):
-        spec_idx = [si for si, s in enumerate(stay_of_spec) if len(s) > depth]
-        steps.append((
-            np.asarray(spec_idx, dtype=np.int64),
-            np.asarray(
-                [stay_of_spec[si][depth] for si in spec_idx], dtype=np.int64
+def _instantiate(
+    tpl: _BuildTemplate, job: RoutingJob, vals: np.ndarray
+) -> CompiledRoutingModel:
+    """The model of a template whose emitted values (chunk order) are
+    ``vals``: duplicates summed left to right into canonical CSR form."""
+    shape = (max(tpl.num_choices, 1), tpl.n)
+    if tpl.order is None:
+        transitions = sparse.csr_matrix(shape)
+    else:
+        transitions = sparse.csr_matrix(
+            (
+                _sum_runs(vals[tpl.order], tpl.starts),
+                tpl.indices.copy(), tpl.indptr.copy(),
             ),
-        ))
-    sh.stay_steps = tuple(steps)
-    sh.stay_emit_matrix = (
-        np.stack(stay_emits) if stay_emits
-        else np.zeros((0, k), dtype=bool)
+            shape=shape,
+        )
+        transitions.has_canonical_format = True
+    compiled = CompiledMDP(
+        num_states=tpl.n,
+        choice_state=tpl.choice_state,
+        choice_reward=tpl.choice_reward,
+        transitions=transitions,
+        labels=tpl.labels,
+        initial=1,
     )
-    # Chunk-order gather: per spec, its moving outcomes' positive entries
-    # (row-major), then its stay outcome's — exactly the order the
-    # recording build appended value chunks in.
-    n_succ = len(succ_rows)
-    rows_list: "list[np.ndarray]" = []
-    cols_list: "list[np.ndarray]" = []
-    succ_row = 0
-    for si, rec in enumerate(sh.specs):
-        for emit in rec.emits:
-            cols = np.flatnonzero(emit)
-            rows_list.append(np.full(cols.size, succ_row, dtype=np.int64))
-            cols_list.append(cols)
-            succ_row += 1
-        cols = np.flatnonzero(rec.stay_emit)
-        rows_list.append(np.full(cols.size, n_succ + si, dtype=np.int64))
-        cols_list.append(cols)
-    sh.val_rows = (
-        np.concatenate(rows_list) if rows_list
-        else np.zeros(0, dtype=np.int64)
+    if tpl.first_choice is None:
+        tpl.first_choice = compiled.first_choice()
+    else:
+        compiled._first_choice_cache.append(tpl.first_choice)
+    if tpl.digest is not None:
+        compiled._digest_cache.append(tpl.digest)
+    return CompiledRoutingModel(
+        compiled=compiled, states=tpl.states, choice_labels=tpl.choice_labels,
+        job=job,
     )
-    sh.val_cols = (
-        np.concatenate(cols_list) if cols_list
-        else np.zeros(0, dtype=np.int64)
-    )
-    sh.fused_gather = fused_gather
 
 
 def _revalue_template(
@@ -706,107 +707,31 @@ def _revalue_template(
 ) -> CompiledRoutingModel | None:
     """Rebuild a job's model from its template for a new force matrix.
 
-    Recomputes leg probabilities and outcome products with the exact
-    arithmetic of the full build, validates every support mask against the
-    template, and reassembles the transitions through the same
-    ``csr_matrix`` + ``sum_duplicates`` calls — so the result is
-    bit-identical to a fresh :func:`build_routing_model_fast` build.
-    Returns ``None`` when any support mask changed (the caller falls back
-    to a full rebuild, which re-records the template).
+    Reruns the build's per-shape kernel on the recorded gathers, validates
+    the support against the template and assembles the transitions the way
+    the build did, so the result is bit-identical to a fresh
+    :func:`build_routing_model_fast` build.  Returns ``None`` when the
+    support changed (the caller falls back to a full rebuild, which
+    re-records the template).
     """
     wx0, wx1, wy0, wy1 = tpl.window
     pf = _force_prefix(forces[wx0:wx1, wy0:wy1]).ravel()
     chunks: list[np.ndarray] = []
     for sh in tpl.shapes:
-        k = sh.xa.size
-        if sh.fused_gather is None:
-            with _TEMPLATE_LOCK:
-                if sh.fused_gather is None:
-                    _fuse_shape_records(sh, k)
-        probs_all = _gathered_probs(
-            pf, sh.fused_gather, sh.fused_valid, sh.fused_area
+        values = _shape_values(
+            pf, sh.table, sh.gather, sh.valid, sh.emit.shape[1]
         )
-        nprobs_all = 1.0 - probs_all
-        # All outcome probabilities of the shape as one (outcomes, k)
-        # product, factors applied leg-by-leg left-to-right exactly as the
-        # recording build's scalar loop did (an unused leg contributes 1.0,
-        # an exact no-op), so every row is bit-identical to the solo path's
-        # sequential product.
-        outcome_p = np.ones((sh.leg_index.shape[0], k))
-        for j in range(sh.leg_index.shape[1]):
-            rows = sh.leg_index[:, j]
-            factor = np.where(
-                sh.leg_success[:, j, None], probs_all[rows], nprobs_all[rows]
-            )
-            np.multiply(
-                outcome_p,
-                np.where(sh.leg_used[:, j, None], factor, 1.0),
-                out=outcome_p,
-            )
-        succ_p = outcome_p[sh.succ_rows]
-        if not np.array_equal(succ_p > 0.0, sh.emit_matrix):
+        if not np.array_equal(values > 0.0, sh.emit):
             return None
-        stay_p = np.zeros((sh.stay_emit_matrix.shape[0], k))
-        for spec_idx, p_rows in sh.stay_steps:
-            stay_p[spec_idx] += outcome_p[p_rows]
-        if not np.array_equal(stay_p > 0.0, sh.stay_emit_matrix):
-            return None
-        stacked = np.concatenate([succ_p, stay_p])
-        vals = stacked[sh.val_rows, sh.val_cols]
-        if vals.size:
-            chunks.append(vals)
-
-    n = tpl.n
-    num_choices = tpl.num_choices
-    if tpl.tmask is None:
-        transitions = sparse.csr_matrix((max(num_choices, 1), n))
-    else:
-        val_arr = np.concatenate(chunks) if chunks else np.zeros(0)
-        vals_f = val_arr[tpl.tmask]
-        if tpl.starts is not None:
-            # Canonical shortcut: values permuted into scipy's
-            # post-sort order, duplicate runs summed left-to-right just
-            # like ``sum_duplicates`` would (reduceat segments this short
-            # add sequentially) — bit-identical, no per-revalue sort.
-            transitions = sparse.csr_matrix(
-                (
-                    np.add.reduceat(vals_f[tpl.torder2], tpl.starts),
-                    tpl.final_indices.copy(),
-                    tpl.final_indptr.copy(),
-                ),
-                shape=(max(num_choices, 1), n),
-            )
-            transitions.has_canonical_format = True
-        else:
-            transitions = sparse.csr_matrix(
-                (
-                    vals_f[tpl.t_order], tpl.cols_sorted.copy(),
-                    tpl.indptr.copy(),
-                ),
-                shape=(max(num_choices, 1), n),
-            )
-            transitions.sum_duplicates()
-
-    compiled = CompiledMDP(
-        num_states=n,
-        choice_state=tpl.choice_state,
-        choice_reward=tpl.choice_reward,
-        transitions=transitions,
-        labels=tpl.labels,
-        initial=1,
+        chunks.append(values[sh.emit])
+    model = _instantiate(
+        tpl, job, np.concatenate(chunks) if chunks else np.zeros(0)
     )
-    if tpl.first_choice is not None:
-        compiled._first_choice_cache.append(tpl.first_choice)
     if tpl.digest is None:
         from repro.modelcheck.batch import structural_key
 
-        tpl.digest = structural_key(compiled)
-    else:
-        compiled._digest_cache.append(tpl.digest)
-    return CompiledRoutingModel(
-        compiled=compiled, states=tpl.states, choice_labels=tpl.choice_labels,
-        job=job,
-    )
+        tpl.digest = structural_key(model.compiled)
+    return model
 
 
 def build_routing_model_fast(
@@ -825,8 +750,9 @@ def build_routing_model_fast(
     (see :func:`_build_fast`) and records a :class:`_BuildTemplate`; later
     builds for the same geometry — the common case in resynthesis storms,
     where only the health fingerprint changes — replay the template,
-    recomputing just the transition probabilities.  Revalued models are
-    bit-identical to fresh builds (the differential tests assert this), so
+    rerunning only the per-shape probability kernel.  Build and revalue
+    share that kernel and the CSR assembly, so revalued models are
+    bit-identical to fresh builds (the differential tests assert this) and
     the cache is transparent to every caller.
     """
     if job.is_dispense:
@@ -889,13 +815,13 @@ def _build_fast(
 
     Instead of expanding states one at a time, the builder enumerates
     *every* in-hazard pattern of every reachable droplet shape up front,
-    computes all leg probabilities / outcome transitions with one batch of
-    array ops per ``(shape, action)`` pair, and then restricts the model to
-    the component reachable from the start with a C-level sparse BFS
-    (:func:`scipy.sparse.csgraph.breadth_first_order`).  The arithmetic is
-    element-for-element the same as :func:`build_routing_model_scalar`, so
-    the two builders produce identical probabilities and (up to state
-    ordering) identical models.
+    computes the outcome probabilities and successors of all of a shape's
+    actions with one batch of ``(outcomes, k)`` array ops, and then
+    restricts the model to the component reachable from the start with a
+    C-level sparse BFS (:func:`scipy.sparse.csgraph.breadth_first_order`).
+    The arithmetic is element-for-element the same as
+    :func:`build_routing_model_scalar`, so the two builders produce
+    identical probabilities and (up to state ordering) identical models.
     """
     perf.incr("fastmdp.builds")
     width, height = forces.shape
@@ -911,34 +837,28 @@ def _build_fast(
     start_shape = (start[2] - start[0] + 1, start[3] - start[1] + 1)
     shape_index: dict[tuple[int, int], int] = {start_shape: 0}
     shapes: list[tuple[int, int]] = [start_shape]
-    specs_by_shape: list[tuple[_ActionSpec, ...]] = []
+    tables: list[_ShapeTable] = []
     si = 0
     while si < len(shapes):
-        specs = compiled_shape_actions(
+        table = _shape_table(
             shapes[si][0], shapes[si][1], max_aspect, families=families
         )
-        specs_by_shape.append(specs)
-        for spec in specs:
-            for _, succ in spec.outcomes:
-                if succ is None:
-                    continue
-                nshape = (succ[2], succ[3])
-                if (
-                    nshape not in shape_index
-                    and nshape[0] <= hz_w and nshape[1] <= hz_h
-                ):
-                    shape_index[nshape] = len(shapes)
-                    shapes.append(nshape)
+        tables.append(table)
+        for nshape in table.succ_shapes:
+            if (
+                nshape not in shape_index
+                and nshape[0] <= hz_w and nshape[1] <= hz_h
+            ):
+                shape_index[nshape] = len(shapes)
+                shapes.append(nshape)
         si += 1
 
     # The force prefix is local to the window this job can read: the model
     # becomes a pure function of ``forces[window]``, so the batch kernel
     # can dedup requests whose window bytes coincide.
-    tpl.window = _read_window(
-        hz, hz_w, hz_h, shapes, specs_by_shape, width, height
-    )
+    tpl.window = _read_window(hz, hz_w, hz_h, shapes, tables, width, height)
     wx0, wx1, wy0, wy1 = tpl.window
-    prefix = _force_prefix(forces[wx0:wx1, wy0:wy1])
+    prefix = _force_prefix(forces[wx0:wx1, wy0:wy1]).ravel()
 
     # -- provisional pattern ids: 0 = hazard sink, then shape-major blocks ---
     # Patterns of shape (w, h) anchor at xa in [hz.xa, hz.xb - w + 1] and
@@ -959,6 +879,7 @@ def _build_fast(
 
     owner_chunks: list[np.ndarray] = []
     label_chunks: list[np.ndarray] = []
+    names: list[str] = []
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
@@ -966,6 +887,7 @@ def _build_fast(
     num_prov_choices = 0
 
     for si, (w, h) in enumerate(shapes):
+        table = tables[si]
         nx = hz_w - w + 1
         ny = hz_h - h + 1
         xa = np.repeat(np.arange(hz[0], hz[0] + nx, dtype=np.int64), ny)
@@ -986,71 +908,62 @@ def _build_fast(
         k = pid_ng.size
         if k == 0:
             continue
-        srecs: list[_SpecRecord] = []
-        tpl.shapes.append(_ShapeRecord(xa=xa_ng, ya=ya_ng, specs=srecs))
-        for spec in specs_by_shape[si]:
-            probs, gather, valid, area = _stack_leg_probs(
-                prefix, width, height, xa_ng, ya_ng, spec.legs, wx0, wy0
-            )
-            rec = _SpecRecord(
-                spec=spec, emits=[], gather=gather, valid=valid, area=area
-            )
-            srecs.append(rec)
-            c_prov = num_prov_choices + np.arange(k, dtype=np.int64)
-            num_prov_choices += k
-            owner_chunks.append(pid_ng)
-            label_chunks.append(np.full(k, spec.name, dtype=object))
-            nprobs = 1.0 - probs
-            stay_p = np.zeros(k)
-            for pattern, succ in spec.outcomes:
-                p = None
-                for leg_i, success in enumerate(pattern):
-                    f = probs[leg_i] if success else nprobs[leg_i]
-                    p = f if p is None else p * f
-                if p is None:
-                    p = np.ones(k)
-                if succ is None:
-                    stay_p += p
-                    continue
-                dxa, dya, w2, h2 = succ
-                nxa, nya = xa_ng + dxa, ya_ng + dya
-                emit = p > 0.0
-                rec.emits.append(emit)
-                if not emit.any():
-                    continue
-                in_hz = (
-                    (hz[0] <= nxa) & (hz[1] <= nya)
-                    & (nxa + w2 - 1 <= hz[2]) & (nya + h2 - 1 <= hz[3])
+        gather, valid = _leg_gather(
+            table, xa_ng, ya_ng, width, height, tpl.window
+        )
+        values = _shape_values(prefix, table, gather, valid, k)
+        emit = values > 0.0
+        tpl.shapes.append(
+            _ShapeRecord(table=table, gather=gather, valid=valid, emit=emit)
+        )
+        # Successors of every moving outcome at once, ``(M, k)``.
+        nxa = xa_ng + table.move_dxa
+        nya = ya_ng + table.move_dya
+        nxb = nxa + (table.move_w - 1)
+        nyb = nya + (table.move_h - 1)
+        safe = (
+            (hz[0] <= nxa) & (hz[1] <= nya) & (nxb <= hz[2]) & (nyb <= hz[3])
+        )
+        if obstacles:
+            blocked = np.zeros(safe.shape, dtype=bool)
+            for (oxa, oya, oxb, oyb) in obstacles:
+                blocked |= (
+                    (nxa - 2 <= oxb) & (oxa - 2 <= nxb)
+                    & (nya - 2 <= oyb) & (oya - 2 <= nyb)
                 )
-                is_start = (
-                    (nxa == start[0]) & (nya == start[1])
-                    & (w2 == start_shape[0]) & (h2 == start_shape[1])
-                )
-                blocked = np.zeros(k, dtype=bool)
-                for (oxa, oya, oxb, oyb) in obstacles:
-                    blocked |= (
-                        (nxa - 2 <= oxb) & (oxa - 2 <= nxa + w2 - 1)
-                        & (nya - 2 <= oyb) & (oya - 2 <= nya + h2 - 1)
-                    )
-                safe = in_hz & (is_start | ~blocked)
-                sj = shape_index.get((w2, h2))
-                if sj is None:  # shape does not fit the hazard bounds
-                    targets = np.zeros(k, dtype=np.int64)
-                else:
-                    ny2 = hz_h - h2 + 1
-                    tpid = 1 + int(base[sj]) + (
-                        (nxa - hz[0]) * ny2 + (nya - hz[1])
-                    )
-                    targets = np.where(safe, tpid, HAZARD_INDEX)
-                rows.append(c_prov[emit])
-                cols.append(targets[emit])
-                vals.append(p[emit])
-            stay_emit = stay_p > 0.0
-            rec.stay_emit = stay_emit
-            if stay_emit.any():
-                rows.append(c_prov[stay_emit])
-                cols.append(pid_ng[stay_emit])
-                vals.append(stay_p[stay_emit])
+            is_start = (
+                (nxa == start[0]) & (nya == start[1])
+                & (table.move_w == start_shape[0])
+                & (table.move_h == start_shape[1])
+            )
+            safe &= is_start | ~blocked
+        # A successor shape outside the closure does not fit the hazard
+        # bounds, so ``safe`` is already False there and its base is moot.
+        succ_base = np.array(
+            [base[shape_index.get(s, 0)] for s in table.succ_shapes],
+            dtype=np.int64,
+        )
+        tpid = 1 + succ_base[table.move_shape] + (
+            (nxa - hz[0]) * (hz_h - table.move_h + 1) + (nya - hz[1])
+        )
+        targets = np.empty(values.shape, dtype=np.int64)
+        targets[table.move_rows] = np.where(safe, tpid, HAZARD_INDEX)
+        targets[table.stay_rows] = pid_ng
+        # Provisional choice ``action * k + position``; row-major nonzeros
+        # of the emission-ordered matrix are the per-action chunk order
+        # (moving outcomes, then the stay).
+        flat = np.flatnonzero(emit)
+        out_row, pos = np.divmod(flat, k)
+        rows.append(num_prov_choices + table.row_action[out_row] * k + pos)
+        cols.append(targets.ravel()[flat])
+        vals.append(values.ravel()[flat])
+        n_actions = len(table.names)
+        owner_chunks.append(np.tile(pid_ng, n_actions))
+        label_chunks.append(np.repeat(
+            np.arange(len(names), len(names) + n_actions, dtype=np.int64), k
+        ))
+        names.extend(table.names)
+        num_prov_choices += n_actions * k
 
     row_arr = (np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64))
     col_arr = (np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64))
@@ -1061,7 +974,7 @@ def _build_fast(
     )
     label_arr = (
         np.concatenate(label_chunks) if label_chunks
-        else np.zeros(0, dtype=object)
+        else np.zeros(0, dtype=np.int64)
     )
 
     # -- restrict to the component reachable from the start ------------------
@@ -1097,7 +1010,9 @@ def _build_fast(
     final_choices = keep_choice[perm]
     num_choices = final_choices.size
     choice_state = new_owner[perm]
-    choice_labels: list[str] = label_arr[final_choices].tolist()
+    choice_labels: list[str] = np.array(names, dtype=object)[
+        label_arr[final_choices]
+    ].tolist()
     choice_new = np.full(num_prov_choices, -1, dtype=np.int64)
     choice_new[final_choices] = np.arange(num_choices, dtype=np.int64)
 
@@ -1106,62 +1021,32 @@ def _build_fast(
         tmask = rows_f >= 0
         rows_f = rows_f[tmask]
         cols_f = new_id[col_arr[tmask]]
-        vals_f = val_arr[tmask]
         counts = np.bincount(rows_f, minlength=num_choices)
         assert (counts > 0).all(), "every action has at least one outcome"
         t_order = np.argsort(rows_f, kind="stable")
         indptr = np.zeros(max(num_choices, 1) + 1, dtype=np.int64)
         indptr[1 : num_choices + 1] = np.cumsum(counts)
-        cols_sorted = cols_f[t_order]
-        tpl.tmask = tmask
-        tpl.t_order = t_order
-        tpl.cols_sorted = cols_sorted.copy()
-        tpl.indptr = indptr.copy()
-        transitions = sparse.csr_matrix(
-            (vals_f[t_order], cols_sorted, indptr),
+        # Probe scipy's canonicalization once: feeding entry ranks as data
+        # through ``sort_indices`` recovers the exact permutation it
+        # applies, and run boundaries in the sorted (row, col) sequence
+        # mark the duplicates ``sum_duplicates`` would merge.
+        probe = sparse.csr_matrix(
+            (np.arange(1.0, rows_f.size + 1.0), cols_f[t_order], indptr),
             shape=(max(num_choices, 1), n),
         )
-        transitions.sum_duplicates()
-        if vals_f.size:
-            # One-time probe of scipy's canonicalization: feeding entry
-            # ranks as data through ``sort_indices`` recovers the exact
-            # permutation it applies, and run boundaries in the sorted
-            # (row, col) sequence mark the duplicates ``sum_duplicates``
-            # merges.  A revalue can then gather + ``reduceat`` straight
-            # into canonical form.  The self-check against the matrix just
-            # built guards the recording; on mismatch the revalue path
-            # simply keeps re-sorting.
-            nnz0 = cols_sorted.size
-            probe = sparse.csr_matrix(
-                (
-                    np.arange(1.0, nnz0 + 1.0), cols_sorted.copy(),
-                    indptr.copy(),
-                ),
-                shape=(max(num_choices, 1), n),
-            )
-            probe.sort_indices()
-            perm2 = probe.data.astype(np.int64) - 1
-            cols2 = probe.indices
-            rowrep = np.repeat(
-                np.arange(probe.shape[0], dtype=np.int64),
-                np.diff(probe.indptr),
-            )
-            new_run = np.ones(nnz0, dtype=bool)
-            new_run[1:] = (cols2[1:] != cols2[:-1]) | \
-                (rowrep[1:] != rowrep[:-1])
-            starts = np.flatnonzero(new_run)
-            torder2 = t_order[perm2]
-            data = np.add.reduceat(vals_f[torder2], starts)
-            if (
-                np.array_equal(data, transitions.data)
-                and np.array_equal(cols2[starts], transitions.indices)
-            ):
-                tpl.torder2 = torder2
-                tpl.starts = starts
-                tpl.final_indices = transitions.indices.copy()
-                tpl.final_indptr = transitions.indptr.copy()
-    else:
-        transitions = sparse.csr_matrix((max(num_choices, 1), n))
+        probe.sort_indices()
+        perm2 = probe.data.astype(np.int64) - 1
+        cols2 = probe.indices
+        rowrep = np.repeat(
+            np.arange(probe.shape[0], dtype=np.int64), np.diff(probe.indptr)
+        )
+        new_run = np.ones(cols2.size, dtype=bool)
+        new_run[1:] = (cols2[1:] != cols2[:-1]) | (rowrep[1:] != rowrep[:-1])
+        starts = np.flatnonzero(new_run)
+        tpl.order = np.flatnonzero(tmask)[t_order[perm2]]
+        tpl.starts = starts
+        tpl.indices = cols2[starts]
+        tpl.indptr = np.concatenate(([0], np.cumsum(new_run)))[probe.indptr]
 
     goal_mask = np.zeros(n, dtype=bool)
     if goal_pids:
@@ -1169,16 +1054,6 @@ def _build_fast(
         goal_mask[goal_new[goal_new >= 0]] = True
     hazard_mask = np.zeros(n, dtype=bool)
     hazard_mask[HAZARD_INDEX] = True
-    labels = {"goal": goal_mask, "hazard": hazard_mask}
-    choice_reward = np.full(num_choices, CYCLE_REWARD)
-    compiled = CompiledMDP(
-        num_states=n,
-        choice_state=choice_state,
-        choice_reward=choice_reward,
-        transitions=transitions,
-        labels=labels,
-        initial=1,
-    )
     from repro.core.mdp import HAZARD_STATE
 
     inv = np.zeros(n, dtype=np.int64)
@@ -1187,7 +1062,7 @@ def _build_fast(
     sy = pat_y[inv[1:]]
     sw = pat_w[inv[1:]]
     sh = pat_h[inv[1:]]
-    state_objects: list[Rect | str] = [HAZARD_STATE] + [
+    tpl.states = [HAZARD_STATE] + [
         Rect(x, y, x + w - 1, y + h - 1)
         for x, y, w, h in zip(
             sx.tolist(), sy.tolist(), sw.tolist(), sh.tolist()
@@ -1196,16 +1071,10 @@ def _build_fast(
     tpl.num_choices = num_choices
     tpl.n = n
     tpl.choice_state = choice_state
-    tpl.choice_reward = choice_reward
-    tpl.labels = labels
-    tpl.states = state_objects
+    tpl.choice_reward = np.full(num_choices, CYCLE_REWARD)
+    tpl.labels = {"goal": goal_mask, "hazard": hazard_mask}
     tpl.choice_labels = choice_labels
-    tpl.first_choice = compiled.first_choice()
-    model = CompiledRoutingModel(
-        compiled=compiled, states=state_objects, choice_labels=choice_labels,
-        job=job,
-    )
-    return model, tpl
+    return _instantiate(tpl, job, val_arr), tpl
 
 
 def extract_fast_strategy(

@@ -1,9 +1,12 @@
-"""Differential tests: the fast (compiled) builder vs the reference builder.
+"""Differential tests: the fast (compiled) builder vs the reference builders.
 
 ``build_routing_model_fast`` must be semantically identical to
 ``build_routing_mdp`` + ``compile_mdp``: same state space, same choice
 structure, and — most importantly — the same synthesis values for both
-query types under arbitrary health matrices and obstacle sets.
+query types under arbitrary health matrices and obstacle sets.  Against
+the scalar oracle ``build_routing_model_scalar`` the match is exact: the
+cold and the template-revalued fast build both reproduce its transitions
+bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fastmdp import build_routing_model_fast, extract_fast_strategy
+from repro import perf
+from repro.core.actions import ActionClass
+from repro.core.fastmdp import (
+    build_routing_model_fast,
+    build_routing_model_scalar,
+    clear_build_template_cache,
+    extract_fast_strategy,
+)
 from repro.core.mdp import build_routing_mdp
 from repro.core.routing_job import RoutingJob
 from repro.core.synthesis import force_field_from_health
@@ -130,3 +140,123 @@ class TestEquivalence:
         job = RoutingJob(OFF_CHIP, Rect(3, 3, 6, 6), Rect(1, 1, 9, 9))
         with pytest.raises(ValueError):
             build_routing_model_fast(job, np.ones((W, H)))
+
+
+def _exact_view(model):
+    """A model keyed by ``Rect``: goal states and, per ``(state, label)``
+    choice, its successor -> probability map (floats compared exactly)."""
+    cm = model.compiled
+    t = cm.transitions
+    states = model.states
+    choices = {}
+    for c in range(cm.num_choices):
+        lo, hi = t.indptr[c], t.indptr[c + 1]
+        key = (states[cm.choice_state[c]], model.choice_labels[c])
+        assert key not in choices
+        choices[key] = dict(
+            zip((states[j] for j in t.indices[lo:hi]), t.data[lo:hi].tolist())
+        )
+    goal = {states[i] for i in np.flatnonzero(cm.labels["goal"])}
+    return states[cm.initial], goal, choices
+
+
+def _oracle_health(seed: int, dead: bool) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    health = rng.integers(1, 4, size=(W, H))
+    if dead:
+        health[rng.random((W, H)) < 0.15] = 0
+    return health
+
+
+_START, _GOAL = Rect(2, 2, 5, 5), Rect(18, 12, 21, 15)
+_ORACLE_JOBS = {
+    "full": RoutingJob(_START, _GOAL, Rect(1, 1, W, H)),
+    "obstacles": RoutingJob(
+        _START, _GOAL, Rect(1, 1, W, H),
+        (Rect(10, 6, 12, 8), Rect(14, 1, 15, 3)),
+    ),
+    "interior-hazard": RoutingJob(
+        Rect(5, 4, 8, 7), Rect(15, 10, 18, 13), Rect(4, 3, 20, 15)
+    ),
+}
+
+
+class TestScalarOracle:
+    """Cold and revalued fast builds equal the scalar build bit for bit."""
+
+    @pytest.mark.parametrize(
+        "job_name, max_aspect, families, dead",
+        [
+            ("full", 2.0, None, False),
+            ("full", 2.0, None, True),
+            ("full", 1.0, None, True),  # morphing off
+            ("obstacles", 2.0, None, True),
+            ("interior-hazard", 2.0, None, True),
+            ("interior-hazard", 1.0, None, False),
+        ] + [
+            ("full", 2.0, (family,), True) for family in ActionClass
+        ],
+    )
+    def test_fast_builds_equal_scalar(self, job_name, max_aspect, families,
+                                      dead):
+        job = _ORACLE_JOBS[job_name]
+        health = _oracle_health(1, dead)
+        forces = force_field_from_health(health).forces
+        scalar = build_routing_model_scalar(job, forces, max_aspect, families)
+        clear_build_template_cache()
+        cold = build_routing_model_fast(job, forces, max_aspect, families)
+        # Revalue: record the template on other live-cell healths with the
+        # same dead cells (so the same support), then rebuild for
+        # ``forces``.
+        other = np.where(health > 0, _oracle_health(99, False), 0)
+        clear_build_template_cache()
+        build_routing_model_fast(
+            job, force_field_from_health(other).forces, max_aspect, families
+        )
+        hits = perf.get("fastmdp.template.hits")
+        revalued = build_routing_model_fast(job, forces, max_aspect, families)
+        assert perf.get("fastmdp.template.hits") == hits + 1
+
+        expected = _exact_view(scalar)
+        assert expected[2], "the oracle model has choices"
+        assert set(cold.states) == set(scalar.states)
+        assert _exact_view(cold) == expected
+        assert set(revalued.states) == set(scalar.states)
+        assert _exact_view(revalued) == expected
+        shapes = {(s.width, s.height) for s in scalar.states[1:]}
+        assert (len(shapes) > 1) == (
+            max_aspect > 1.0
+            and families in (None, (ActionClass.WIDEN,),
+                             (ActionClass.HEIGHTEN,))
+        )
+
+
+class TestRevalueBitIdentity:
+    """A template revalue reproduces a fresh build's arrays byte for byte.
+
+    Regression: duplicate transitions (several outcomes of one choice
+    landing in the hazard sink) used to be summed by ``np.add.reduceat``
+    on revalue, which rounded some three-entry runs 1 ulp away from the
+    fresh build's left-to-right sum (seed 13 hits one).
+    """
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_revalue_matches_fresh_build(self, seed):
+        job = RoutingJob(_START, _GOAL, Rect(2, 2, 23, 17))
+        rng = np.random.default_rng(seed)
+        f1 = rng.uniform(0.5, 1.0, (W, H))
+        f2 = f1 * rng.uniform(0.8, 1.0, (W, H))
+        clear_build_template_cache()
+        build_routing_model_fast(job, f1)
+        hits = perf.get("fastmdp.template.hits")
+        revalued = build_routing_model_fast(job, f2)
+        assert perf.get("fastmdp.template.hits") == hits + 1
+        clear_build_template_cache()
+        fresh = build_routing_model_fast(job, f2)
+        assert revalued.states == fresh.states
+        assert revalued.choice_labels == fresh.choice_labels
+        a, b = revalued.compiled.transitions, fresh.compiled.transitions
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype
+            assert x.tobytes() == y.tobytes(), name
