@@ -8,7 +8,8 @@ pooled synthesis engine under injection:
 
 * **worker-kills** — workers die mid-payload (``BrokenProcessPool``);
 * **payload-errors** — workers raise deterministically;
-* **hung-workers** — workers stall past the engine deadline and are reaped;
+* **hung-workers** — workers stall, so their waves' members surface as
+  ``pending`` misses;
 * **store-corruption** — every strategy-store row is garbled on write
   (later runs read the garbled rows back);
 * **mixed** — all of the above at lower rates.
@@ -65,7 +66,6 @@ from repro.core.baseline import AdaptiveRouter  # noqa: E402
 from repro.core.scheduler import HybridScheduler  # noqa: E402
 from repro.engine import StrategyStore, SynthesisEngine  # noqa: E402
 from repro.engine import chaos  # noqa: E402
-from repro.engine.faults import RetryPolicy  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 JSON_PATH = REPO_ROOT / "BENCH_chaos.json"
@@ -76,18 +76,15 @@ CHIP_SEED = 11
 MAX_CYCLES = 1200
 OVERHEAD_LIMIT = 6.0
 
-#: name -> (chaos kwargs, engine deadline_ms).  Probabilities are moderate
-#: on purpose: the engine must survive repeated faults, not a single one.
-SCENARIOS: dict[str, tuple[dict, float | None]] = {
-    "worker-kills": ({"kill_p": 0.3}, None),
-    "payload-errors": ({"raise_p": 0.5}, None),
-    "hung-workers": ({"delay_p": 0.6, "delay_ms": 1500.0}, 250.0),
-    "store-corruption": ({"store_p": 1.0}, None),
-    "mixed": (
-        {"kill_p": 0.15, "raise_p": 0.15, "delay_p": 0.25,
-         "delay_ms": 1000.0, "store_p": 0.5},
-        500.0,
-    ),
+#: name -> chaos kwargs.  Probabilities are moderate on purpose: the
+#: engine must survive repeated faults, not a single one.
+SCENARIOS: dict[str, dict] = {
+    "worker-kills": {"kill_p": 0.3},
+    "payload-errors": {"raise_p": 0.5},
+    "hung-workers": {"delay_p": 0.6, "delay_ms": 1500.0},
+    "store-corruption": {"store_p": 1.0},
+    "mixed": {"kill_p": 0.15, "raise_p": 0.15, "delay_p": 0.25,
+              "delay_ms": 1000.0, "store_p": 0.5},
 }
 
 
@@ -142,16 +139,11 @@ def execute_sequence(graphs, runs_per_assay: int,
 
 def run_scenario(graphs, name: str, runs_per_assay: int, seed: int,
                  workers: int, store_dir: Path) -> dict:
-    chaos_kwargs, deadline_ms = SCENARIOS[name]
-    config = chaos.ChaosConfig(seed=seed, **chaos_kwargs)
-    policy = RetryPolicy(
-        retries=2, rebuild_budget=2, backoff_base_s=0.02,
-        deadline_ms=deadline_ms,
-    )
+    config = chaos.ChaosConfig(seed=seed, **SCENARIOS[name])
     store = None
     if config.store_p:
         store = StrategyStore(store_dir / f"{name}.sqlite")
-    engine = SynthesisEngine(workers=workers, policy=policy, store=store)
+    engine = SynthesisEngine(workers=workers, store=store)
     obs.journal_event("bench.scenario", name=name, spec=config.to_spec())
     chaos.activate(config)
     try:
@@ -162,11 +154,10 @@ def run_scenario(graphs, name: str, runs_per_assay: int, seed: int,
         crashed = repr(exc)
     finally:
         chaos.deactivate()
-        engine._kill_worker_processes()  # reap chaos-delayed sleepers
+        engine._kill_worker_processes()  # kill chaos-delayed sleepers
         engine.close()
     return {
         "spec": config.to_spec(),
-        "deadline_ms": deadline_ms,
         "crashed": crashed,
         "degraded": engine.degraded,
         "runs": outcomes,
@@ -195,7 +186,7 @@ def run_bench(seed: int, workers: int) -> dict:
     injected = 0
     for name, scenario in scenarios.items():
         engine = scenario["engine"]
-        injected += engine.get("errors", 0) + engine.get("deadline_reaps", 0)
+        injected += engine.get("errors", 0)
         injected += engine.get("store_corrupt", 0)
         attempted += len(serial)
         if scenario["crashed"] is not None:
@@ -275,7 +266,7 @@ def main(argv=None) -> int:
             f"/{len(report['serial'])}"
             f"  faults={engine.get('errors', 0)}"
             f" rebuilds={engine.get('rebuilds', 0)}"
-            f" reaps={engine.get('deadline_reaps', 0)}"
+            f" misses={engine.get('misses', 0)}"
             f" store_corrupt={engine.get('store_corrupt', 0)}"
             f" degraded={'yes' if scenario['degraded'] else 'no'}"
         )

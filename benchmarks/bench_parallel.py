@@ -335,12 +335,8 @@ def run_bench(workers: int) -> dict:
     configs["serial"] = run_config(
         graphs, repeats, lambda: None, presynth=False
     )
-    # admission_floor matches the CLI/serve engines: a lone assay on a
-    # single-core host skips speculation it cannot overlap, so the pooled
-    # configs can never lose to serial by paying for useless IPC.
     configs["pooled"] = run_config(
-        graphs, repeats,
-        lambda: SynthesisEngine(workers=workers, admission_floor=True),
+        graphs, repeats, lambda: SynthesisEngine(workers=workers),
         presynth=True,
     )
 
@@ -349,8 +345,7 @@ def run_bench(workers: int) -> dict:
 
         def warm_engine() -> SynthesisEngine:
             return SynthesisEngine(
-                workers=workers, store=StrategyStore(store_path),
-                admission_floor=True,
+                workers=workers, store=StrategyStore(store_path)
             )
 
         # Priming pass fills the store; only the second (fully warm) pass
@@ -431,15 +426,12 @@ def main(argv=None) -> int:
     emit("bench_parallel", "\n".join(lines))
 
     failed = []
-    # Soft regression guard (never enforced): with the admission floor the
-    # pooled config must be roughly serial-speed even on one core — a
-    # clear loss means speculation is being admitted with nothing to
-    # overlap it.
+    # Soft regression guard (never enforced): a clear loss to serial means
+    # the pool's IPC costs more than the presynthesis wave overlaps.
     if report["speedup_pooled"] < 0.90:
         print(
             f"WARN: pooled speedup {report['speedup_pooled']:.2f}x < 0.90x "
-            f"— single-assay pooled regression (admission floor "
-            f"ineffective?)",
+            f"— single-assay pooled regression",
             file=sys.stderr,
         )
     if report["speedup_warm_store"] < 5.0:

@@ -102,8 +102,7 @@ def run_sequential(workload: list[AssaySpec], workers: int) -> dict:
     t0 = time.perf_counter()
     for spec in workload:
         engine = (
-            SynthesisEngine(workers=workers, admission_floor=True)
-            if workers != 1 else None
+            SynthesisEngine(workers=workers) if workers != 1 else None
         )
         t_job = time.perf_counter()
         try:

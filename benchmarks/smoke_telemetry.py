@@ -8,14 +8,14 @@ CI-facing end-to-end check of the observability stack under a real
    port;
 2. a scraper thread hits ``/metrics`` throughout the run and every scrape
    must parse as OpenMetrics;
-3. after the engine closes (salvaging worker-side telemetry), the final
+3. after the engine closes (merging worker-side telemetry), the final
    scrape must show non-zero worker-side counters
    (``repro_worker_solves_total``) next to the engine/scheduler counters;
 4. the journal must contain ``worker.synthesis`` events stamped with
    worker pids;
 5. the merged Chrome/Perfetto trace exported to ``obs-artifacts/`` must
    contain ``worker.solve`` spans parented under the engine's
-   ``engine.submit`` / ``engine.batch.submit`` spans, on worker pids.
+   ``engine.batch.submit`` spans, on worker pids.
 
 Exits nonzero on any violated expectation.  Run with
 ``PYTHONPATH=src python benchmarks/smoke_telemetry.py``.
@@ -81,10 +81,9 @@ class Scraper(threading.Thread):
 
 
 def settle_engine(engine: SynthesisEngine) -> None:
-    """Wait for in-flight worker futures so close() can salvage them all."""
+    """Wait for the unmerged waves so close() can merge them all."""
     deadline = time.monotonic() + SETTLE_TIMEOUT_S
-    pending = [s.future for s in engine._pending.values()]
-    pending += [s.future for s in engine._zombies]
+    pending = [wave.future for wave in engine._waves if not wave.merged]
     for future in pending:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
@@ -130,8 +129,8 @@ def main() -> int:
         print(f"run: ok, {result.cycles} cycles, "
               f"{result.resyntheses} resyntheses")
 
-        # Let in-flight speculation futures finish, then close: the engine
-        # salvages every completed worker's telemetry bundle on the way out.
+        # Let running waves finish, then close: the engine merges every
+        # finished wave's telemetry bundle on the way out.
         settle_engine(engine)
     finally:
         engine.close()
@@ -177,8 +176,7 @@ def main() -> int:
     solves = tracer.find("worker.solve")
     if not solves:
         return fail("merged trace has no worker.solve spans")
-    parent_ids = {s.span_id for s in tracer.find("engine.submit")}
-    parent_ids |= {s.span_id for s in tracer.find("engine.batch.submit")}
+    parent_ids = {s.span_id for s in tracer.find("engine.batch.submit")}
     orphans = [s for s in solves if s.parent_id not in parent_ids]
     if orphans:
         return fail(f"{len(orphans)}/{len(solves)} worker.solve spans are "

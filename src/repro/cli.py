@@ -7,8 +7,7 @@ Commands:
   (optionally the wear heatmap); ``--trace``/``--journal``/``--perf``
   switch on the :mod:`repro.obs` telemetry; ``--workers``/
   ``--strategy-cache`` enable the parallel synthesis engine
-  (:mod:`repro.engine`); ``--engine-retries``/``--engine-deadline-ms``
-  bound its fault tolerance and ``--chaos`` injects deterministic faults
+  (:mod:`repro.engine`) and ``--chaos`` injects deterministic faults
   (:mod:`repro.engine.chaos`);
 * ``report`` — summarize a run journal written by ``run --journal``
   (``--json`` for machine-readable output, ``--slo`` to gate on
@@ -104,11 +103,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             store = StrategyStore(
                 None if args.strategy_cache == "auto" else args.strategy_cache
             )
-        engine = SynthesisEngine(
-            workers=args.workers, store=store,
-            retries=args.engine_retries, deadline_ms=args.engine_deadline_ms,
-            admission_floor=True,
-        )
+        engine = SynthesisEngine(workers=args.workers, store=store)
     if args.router == "adaptive":
         router = AdaptiveRouter(engine=engine)
     else:
@@ -373,8 +368,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store_path=args.strategy_cache,
         drain_deadline_s=args.drain_deadline,
         journal_path=args.journal,
-        engine_retries=args.engine_retries,
-        engine_deadline_ms=args.engine_deadline_ms,
     )
     try:
         port = service.start()
@@ -543,14 +536,6 @@ def _add_run_options(run: argparse.ArgumentParser) -> None:
                      help="persist synthesized strategies across runs in a "
                           "SQLite cache; with no PATH, uses "
                           "~/.cache/repro/strategies.sqlite")
-    run.add_argument("--engine-retries", type=int, default=2, metavar="N",
-                     help="how many times a speculation is resubmitted after "
-                          "a transient worker failure (default 2)")
-    run.add_argument("--engine-deadline-ms", type=float, default=None,
-                     metavar="MS",
-                     help="per-speculation deadline; in-flight synthesis "
-                          "older than this is reaped and hung workers are "
-                          "killed (default: no deadline)")
     run.add_argument("--chaos", metavar="SPEC", default=None,
                      help="deterministic fault injection, e.g. "
                           "'kill=0.1,raise=0.05,delay=0.1:250,store=0.2,"
@@ -666,9 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
                      const="auto", default=None,
                      help="shared persistent strategy store; with no PATH, "
                           "uses the default cache location")
-    srv.add_argument("--engine-retries", type=int, default=2, metavar="N")
-    srv.add_argument("--engine-deadline-ms", type=float, default=None,
-                     metavar="MS")
     srv.add_argument("--drain-deadline", type=float, default=30.0,
                      metavar="S",
                      help="seconds SIGTERM/SIGINT waits for queued + "

@@ -542,11 +542,10 @@ class HybridScheduler:
 
         Runs at most once per quarantine-map version per MO.  A successful
         remap swaps in the re-decomposed MO (successors rebase onto the new
-        outputs automatically via ``_fit_job``) and invalidates any
-        in-flight engine speculations for the retired jobs — their keys can
-        never be requested again.  Strategy-store entries need no action:
-        they are keyed by job geometry, so retired keys are simply never
-        looked up.
+        outputs automatically via ``_fit_job``).  Engine members and
+        strategy-store entries of the retired jobs need no action: they
+        are keyed by job geometry, so retired keys are simply never looked
+        up.
         """
         qmap = self._qmap
         if qmap is None or not qmap.cells or state.remap_version == qmap.version:
@@ -557,7 +556,6 @@ class HybridScheduler:
             return
         if not self._reconfig.placement_tainted(state.decomposed):
             return
-        old = state.decomposed
         new = self._reconfig.remap(
             mo, self._remap_centroid(mo), health, self._helper
         )
@@ -578,11 +576,6 @@ class HybridScheduler:
             to_locs=[list(loc) for loc in new.mo.locs],
             version=qmap.version,
         )
-        invalidate = getattr(self.engine, "invalidate", None)
-        if invalidate is not None:
-            for job in old.jobs:
-                if not job.is_dispense:
-                    invalidate(job)
 
     def _remap_centroid(self, mo) -> tuple[float, float]:
         """Where the MO's inputs actually are (parked droplets when known,

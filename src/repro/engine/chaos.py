@@ -11,9 +11,10 @@ Determinism is the whole point.  Every decision is a pure function of
 ``(seed, fault site, decision token)`` — a SHA-256 draw, no global RNG, no
 wall clock — so the same seed injects the same faults at the same payloads
 run after run, regardless of worker scheduling.  The decision token
-includes the submission *attempt*, so a payload killed on attempt 1 is
-(typically) allowed through on its retry: injected kills behave like the
-transient faults they simulate rather than a deterministic death loop.
+includes the engine's wave sequence number, so a wave killed in one run
+is (typically) allowed through when the next run presynthesizes the same
+jobs on an unchanged chip: injected kills behave like the transient
+faults they simulate rather than a deterministic death loop.
 
 Activation is process-wide and environment-propagated: :func:`activate`
 stores the config in ``REPRO_CHAOS`` / ``REPRO_CHAOS_SEED`` so pool worker
@@ -27,7 +28,8 @@ spec grammar (also the CLI's ``--chaos`` argument)::
 * ``raise=P`` — worker raises :class:`ChaosInjectedError` (a
   deterministic payload error);
 * ``delay=P[:MS]`` — worker sleeps ``MS`` milliseconds (default 250)
-  before synthesizing (a hung/slow worker; exercises deadlines);
+  before synthesizing (a hung/slow worker: its members surface as
+  ``pending`` misses);
 * ``store=P`` — a :class:`~repro.engine.store.StrategyStore` row is
   garbled on write (exercises the corruption-tolerance path);
 * ``seed=N`` — the decision seed (``REPRO_CHAOS_SEED`` overrides it).
@@ -138,8 +140,8 @@ class ChaosInjector:
         """Run the worker-side fault gauntlet for one payload.
 
         Checked in severity order: a kill pre-empts a raise pre-empts a
-        delay.  ``token`` must identify the payload *and* its submission
-        attempt (see :mod:`repro.engine.pool`) so retries re-roll.
+        delay.  ``token`` must identify the wave payload *and* its wave
+        sequence number (see :mod:`repro.engine.pool`) so reruns re-roll.
         """
         cfg = self.config
         if cfg.kill_p and self.draw("kill", token) < cfg.kill_p:

@@ -1,46 +1,41 @@
-"""Worker-failure taxonomy and retry policy for the synthesis engine.
+"""Worker-failure taxonomy for the synthesis engine.
 
-The :class:`~repro.engine.pool.SynthesisEngine` runs speculation on a
-``ProcessPoolExecutor``; everything that can go wrong there falls into one
-of three buckets, and the recovery action differs per bucket:
+The :class:`~repro.engine.pool.SynthesisEngine` runs presynthesis waves on
+a ``ProcessPoolExecutor``; everything that can go wrong there falls into
+one of three buckets:
 
 * **pool** — the executor itself broke (``BrokenProcessPool``: a worker
   was OOM-killed, segfaulted, or died mid-pickle).  The pool is unusable
-  and every in-flight future fails at once.  Recovery: rebuild the
-  executor with capped exponential backoff and resubmit the surviving
-  speculations, up to a rebuild budget; past the budget the engine
-  *degrades permanently* to the synchronous path.
+  and every running wave fails at once.  Recovery: rebuild the executor
+  with capped exponential backoff, up to a rebuild budget; past the budget
+  the engine *degrades permanently* to inline synthesis.
 * **transient** — an individual future failed for an infrastructure
   reason (cancelled, timed out, a pipe error) while the executor stayed
-  alive.  Recovery: the payload may be retried on the same pool.
+  alive.
 * **payload** — the worker ran our code and it raised.  The failure is
-  deterministic — retrying the identical payload reproduces it — so it is
-  counted and the caller falls back to synchronous synthesis (which will
-  surface the same bug where it can be debugged).
+  deterministic — rerunning the identical payload reproduces it.
 
-The classification is intentionally conservative: anything unrecognized is
-treated as a payload error, because retrying an unknown failure risks
-spinning on a deterministic one.
+Transient and payload failures are counted and the caller falls back to
+synchronous synthesis (which will surface a payload bug where it can be
+debugged).  The classification is intentionally conservative: anything
+unrecognized is treated as a payload error.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import BrokenExecutor, CancelledError, TimeoutError
-from dataclasses import dataclass
 from enum import Enum
 
 
 class FaultKind(Enum):
-    """What went wrong with a speculation (drives the recovery action)."""
+    """What went wrong with a wave (drives the recovery action)."""
 
-    #: The executor broke (worker killed / died): rebuild + retry.
+    #: The executor broke (worker killed / died): rebuild.
     POOL = "pool"
-    #: Per-future infrastructure failure on a live pool: retry.
+    #: Per-future infrastructure failure on a live pool.
     TRANSIENT = "transient"
-    #: Deterministic error raised by the synthesis payload: do not retry.
+    #: Deterministic error raised by the synthesis payload.
     PAYLOAD = "payload"
-    #: A speculation exceeded its deadline (hung worker): reap.
-    DEADLINE = "deadline"
 
 
 def classify_failure(exc: BaseException) -> FaultKind:
@@ -50,44 +45,3 @@ def classify_failure(exc: BaseException) -> FaultKind:
     if isinstance(exc, (CancelledError, TimeoutError, OSError)):
         return FaultKind.TRANSIENT
     return FaultKind.PAYLOAD
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounds on the engine's recovery behaviour.
-
-    ``retries`` — how many times one speculation payload may be
-    *resubmitted* after a pool/transient failure (its first submission is
-    not a retry).  ``rebuild_budget`` — how many times the executor may be
-    rebuilt before the engine degrades permanently.  ``backoff_base_s`` /
-    ``backoff_cap_s`` — capped exponential delay before rebuild *n*:
-    ``min(cap, base * 2**n)``.  ``deadline_ms`` — per-speculation wall
-    budget (``None`` disables deadlines): an in-flight speculation older
-    than this is reaped, and if its worker is hung the pool is rebuilt to
-    reclaim the process.
-    """
-
-    retries: int = 2
-    rebuild_budget: int = 3
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    deadline_ms: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError("retries cannot be negative")
-        if self.rebuild_budget < 0:
-            raise ValueError("rebuild_budget cannot be negative")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff delays cannot be negative")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive (or None)")
-
-    def backoff(self, rebuilds_so_far: int) -> float:
-        """Seconds to wait before the next rebuild attempt."""
-        return min(self.backoff_cap_s,
-                   self.backoff_base_s * (2 ** rebuilds_so_far))
-
-    @property
-    def deadline_s(self) -> float | None:
-        return None if self.deadline_ms is None else self.deadline_ms / 1e3

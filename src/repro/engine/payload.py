@@ -24,18 +24,6 @@ from repro.modelcheck.strategy import _state_from_token, _state_token
 SEED_SIDES = ("lower", "upper")
 
 
-def correlation_id(job_key: tuple, fingerprint: bytes) -> str:
-    """A compact correlation id for one ``(job, health)`` submission.
-
-    Stamped onto worker-side spans and replayed journal events (see
-    :mod:`repro.obs.propagate`) so a merged trace/journal can be filtered
-    back to the exact speculation that produced each record.  Human-legible
-    on purpose: the job key verbatim, plus a fingerprint prefix long enough
-    to disambiguate concurrent health states.
-    """
-    return f"{','.join(map(str, job_key))}@{fingerprint.hex()[:12]}"
-
-
 def side_for_objective(objective) -> str:
     """The interval side a warm seed feeds for a query objective.
 

@@ -498,7 +498,6 @@ def solve_reach_avoid_reward_batch(
     epsilon: float = DEFAULT_EPSILON,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     initial_values=None,
-    context: SharedContext | None = None,
 ) -> "list[ValueResult]":
     """Solve a same-shape family of reward queries in one batched pass.
 
@@ -550,12 +549,7 @@ def solve_reach_avoid_reward_batch(
     # region and gather skeletons (keyed on support), which the plain
     # solo path would recompute from scratch every call.
 
-    rep = models[batchable[0]]
-    if context is None or context.key != keys[batchable[0]] or (
-        context.goal != goal or context.avoid != avoid
-    ):
-        context = reward_context(rep, goal, avoid, minimize)
-    ctx = context
+    ctx = reward_context(models[batchable[0]], goal, avoid, minimize)
 
     states_list: "list[_ModelState]" = []
     for i in batchable:

@@ -56,8 +56,6 @@ SUPPORTED_SCHEMA_VERSIONS = (0, JOURNAL_SCHEMA_VERSION)
 #:   (``kind`` in ``pool``/``transient``/``payload``, ``job``, ``detail``);
 #: * ``engine.rebuild`` — the worker pool was rebuilt after a breakage
 #:   (``attempt``, ``backoff_ms``);
-#: * ``engine.deadline`` — an in-flight speculation exceeded its deadline
-#:   and was reaped (``job``, ``deadline_ms``, ``hung``);
 #: * ``engine.degraded`` — the rebuild budget ran out; the engine fell
 #:   back to the synchronous path permanently (``reason``, ``rebuilds``);
 #: * ``engine.degraded.observed`` — the scheduler noticed the degraded
@@ -65,7 +63,6 @@ SUPPORTED_SCHEMA_VERSIONS = (0, JOURNAL_SCHEMA_VERSION)
 ENGINE_EVENTS = (
     "engine.fault",
     "engine.rebuild",
-    "engine.deadline",
     "engine.degraded",
     "engine.degraded.observed",
 )

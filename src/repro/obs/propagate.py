@@ -15,7 +15,7 @@ payloads that already cross the process boundary:
   the metric delta is exact — and ships the bundle back on the result
   payload;
 * the parent merges the bundle (:func:`merge_telemetry`): spans graft into
-  the parent trace under the ``engine.submit`` span that launched the work
+  the parent trace under the ``engine.batch.submit`` span that launched the work
   (wall-clock aligned, rendered on a per-worker Perfetto track), journal
   events replay with ``worker_pid``/``corr`` stamped on, and metric deltas
   fold into the parent registry.
@@ -129,7 +129,7 @@ def merge_telemetry(
     """Merge a worker's telemetry bundle into this process's obs state.
 
     Each pillar merges only if the corresponding parent sink still exists
-    (the run may have shut telemetry down while the speculation was in
+    (the run may have shut telemetry down while the wave was in
     flight).  Returns ``{"spans", "events", "metrics"}`` merge counts.
     """
     merged = {"spans": 0, "events": 0, "metrics": 0}

@@ -50,9 +50,9 @@ def summarize_journal(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
       "resource_samples", "peak_rss_kb", "workers_alive",
       "last_metrics"}`` (zeros/None without a pump);
     * ``engine`` — fault-tolerance activity of the synthesis engine:
-      ``{"faults": {kind: count}, "rebuilds", "deadline_reaps",
-      "degraded", "batch"}`` (all zero/False for a run without a worker
-      pool); ``batch`` counts the batched presynthesis waves
+      ``{"faults": {kind: count}, "rebuilds", "degraded", "batch"}``
+      (all zero/False for a run without a worker pool); ``batch`` counts
+      the batched presynthesis waves
       (``{"waves", "jobs", "sync_waves"}``).
     """
     records = list(records)
@@ -127,7 +127,6 @@ def summarize_journal(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
     engine = {
         "faults": fault_kinds,
         "rebuilds": len(iter_events(records, "engine.rebuild")),
-        "deadline_reaps": len(iter_events(records, "engine.deadline")),
         "degraded": bool(iter_events(records, "engine.degraded")),
         # Batched presynthesis waves: one event per
         # SynthesisEngine.presynthesize_batch call that accepted jobs;
@@ -308,7 +307,6 @@ def format_report(summary: dict[str, Any]) -> str:
     if (
         engine.get("faults")
         or engine.get("rebuilds")
-        or engine.get("deadline_reaps")
         or engine.get("degraded")
     ):
         faults = ", ".join(
@@ -317,7 +315,6 @@ def format_report(summary: dict[str, Any]) -> str:
         ) or "none"
         lines.append(
             f"engine faults: {faults}  rebuilds={engine['rebuilds']} "
-            f"deadline reaps={engine['deadline_reaps']} "
             f"degraded={'yes' if engine['degraded'] else 'no'}"
         )
     return "\n".join(lines)

@@ -233,7 +233,7 @@ class Tracer:
         this tracer's id space with the internal parent/child structure
         preserved; spans whose parent is not in the batch (the worker-side
         roots) are reparented under ``parent_id`` — typically the
-        ``engine.submit`` span that launched the work.  ``wall_epoch_ns``
+        ``engine.batch.submit`` span that launched the work.  ``wall_epoch_ns``
         (the worker tracer's :attr:`wall_epoch_ns`) shifts the worker
         timeline onto this tracer's, so the merged Perfetto export shows
         the worker solve at the wall-clock moment it actually ran.
@@ -292,7 +292,7 @@ class Tracer:
         Spans adopted from pool workers carry their origin pid and render
         on their own Perfetto process track (named ``repro worker <pid>``)
         next to the parent process's track, giving the end-to-end
-        ``engine.submit -> worker.solve -> take`` picture.
+        ``engine.batch.submit -> worker.solve -> take`` picture.
         """
         now = self._now_us()
         spans = self.spans

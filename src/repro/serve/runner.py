@@ -5,7 +5,7 @@ The serving layer's correctness contract is that a job's
 run of the same spec: same sampled chip (``default_rng(seed)``), same
 simulator stream (``default_rng(seed + 1)``), same scheduler/router
 construction, presynthesis only when the engine is pooled.  Everything
-the shared engine adds (speculation, the cross-assay strategy store) is
+the shared engine adds (presynthesis, the cross-assay strategy store) is
 latency-only by the engine's own invariants, so sharing cannot change a
 trace — this module just has to not deviate from the solo code path.
 """

@@ -1,9 +1,9 @@
 """The assay scheduler: N worker threads draining the job queue.
 
 Each worker claims one job at a time, opens a per-job tenant view on the
-shared :class:`~repro.engine.pool.SynthesisEngine` (so fair-share
-admission arbitrates speculative submits between concurrently running
-assays), wraps the run in a :func:`~repro.obs.journal.journal_scope`
+shared :class:`~repro.engine.pool.SynthesisEngine` (so concurrently
+running assays never consume or replace each other's presynthesized
+members), wraps the run in a :func:`~repro.obs.journal.journal_scope`
 stamping ``job_id`` into every journal record the run emits, and moves
 the job through its lifecycle states.  Worker threads — not processes —
 because the heavy lifting (value iteration) already happens either in

@@ -89,9 +89,7 @@ class ServeService:
     """A resident multi-assay serving process (see module docstring).
 
     ``engine_workers`` follows the ``repro run --workers`` convention
-    (1 = synchronous engine, 0 = one process per core, N>1 = pool of N);
-    the engine is created with ``admission_floor=True`` so a lone tenant
-    on a single-core host never pays for speculation it cannot overlap.
+    (1 = synchronous engine, 0 = one process per core, N>1 = pool of N).
     ``store_path`` of ``None`` serves without a persistent store (memo
     and library warmth only); ``keep_traces=True`` retains each job's
     ``ExecutionTrace`` in memory for bit-identity checks (tests, bench).
@@ -107,8 +105,6 @@ class ServeService:
         drain_deadline_s: float = 30.0,
         keep_traces: bool = False,
         journal_path: Any = None,
-        engine_retries: int = 2,
-        engine_deadline_ms: float | None = None,
     ) -> None:
         from repro.engine import StrategyStore, SynthesisEngine
         from repro.obs.monitor import MonitorServer
@@ -132,11 +128,7 @@ class ServeService:
             store = StrategyStore(None)
         else:
             store = StrategyStore(store_path)
-        self.engine = SynthesisEngine(
-            workers=engine_workers, store=store,
-            retries=engine_retries, deadline_ms=engine_deadline_ms,
-            admission_floor=True,
-        )
+        self.engine = SynthesisEngine(workers=engine_workers, store=store)
         self.queue = JobQueue()
         self.scheduler = AssayScheduler(
             self.queue, workers=serve_workers, engine=self.engine,

@@ -306,15 +306,12 @@ class TestEngineBatchPresynthesis:
                 [(job, None) for job in jobs], health
             )
             assert submitted == 2
-            # All members share one future (one pool task for the wave).
-            futures = {
-                id(spec.future) for spec in engine._pending.values()
-            }
-            assert len(futures) == 1
+            # All members share one wave (one pool task).
+            waves = {id(wave) for _, wave, _ in engine._members.values()}
+            assert len(waves) == 1
+            wave = next(iter(engine._members.values()))[1]
             deadline = time.monotonic() + 120.0
-            while time.monotonic() < deadline:
-                if all(s.future.done() for s in engine._pending.values()):
-                    break
+            while time.monotonic() < deadline and not wave.future.done():
                 time.sleep(0.05)
             for job in jobs:
                 status, strategy = engine.take(job, health)
@@ -330,34 +327,14 @@ class TestEngineBatchPresynthesis:
         try:
             job = _jobs()[0]
             health = _full_health()
-            assert engine.presynthesize_batch([(job, None)], health) == 1
             degraded = _full_health()
             degraded[10, 8] = 1  # inside the hazard zone
-            status, strategy = engine.take(job, degraded)
-            assert (status, strategy) == ("stale", None)
-            assert engine.stale == 1
-        finally:
-            engine.close()
-
-    def test_in_flight_jobs_and_no_plan_keys_are_skipped(self):
-        engine = SynthesisEngine(workers=1)
-        try:
-            job = _jobs()[0]
-            health = _full_health()
             assert engine.presynthesize_batch([(job, None)], health) == 1
-            # Same job again while its speculation is parked: skipped.
-            assert engine.presynthesize_batch([(job, None)], health) == 0
-            walled = _full_health()
-            walled[12, :] = 0
-            blocked = RoutingJob(
-                Rect(2, 2, 4, 4), Rect(W - 5, H - 5, W - 3, H - 3), FULL
-            )
-            engine.take(job, health)  # consume, freeing the job key
-            assert engine.presynthesize_batch([(blocked, None)], walled) == 1
-            status, _ = engine.take(blocked, walled)
-            assert status == "no-plan"
-            # A definitive no-plan answer is never resubmitted.
-            assert engine.presynthesize_batch([(blocked, None)], walled) == 0
+            assert engine.take(job, degraded) == ("absent", None)
+            assert not engine._members  # the stale member is gone
+            assert engine.submit(job, health)  # a one-member wave
+            assert engine.take(job, degraded) == ("absent", None)
+            assert engine.wasted == 2
         finally:
             engine.close()
 

@@ -1,10 +1,10 @@
 """Fault-tolerance tests for the synthesis engine.
 
-Covers the failure taxonomy (pool / transient / payload / deadline), the
-rebuild-with-backoff path, permanent degradation to the synchronous path,
-the deterministic chaos harness, store corruption tolerance, and the
-headline invariant: a run that degrades mid-assay routes bit-identically
-to a run that never had a pool.
+Covers the failure taxonomy (pool / transient / payload), the
+rebuild-with-backoff path, permanent degradation to inline synthesis, the
+deterministic chaos harness, store corruption tolerance, and the headline
+invariant: a run that degrades mid-assay routes bit-identically to a run
+that never had a pool.
 
 Worker kills are real (``os.kill``/``os._exit``) — the point is to
 exercise the genuine ``BrokenProcessPool`` machinery, not a mock of it.
@@ -38,7 +38,8 @@ from repro.core.synthesis import synthesize
 from repro.engine import StrategyStore, SynthesisEngine, resolve_workers
 from repro.engine import chaos
 from repro.engine.chaos import ChaosConfig, ChaosInjectedError, ChaosInjector
-from repro.engine.faults import FaultKind, RetryPolicy, classify_failure
+from repro.engine import pool
+from repro.engine.faults import FaultKind, classify_failure
 from repro.geometry.rect import Rect
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
@@ -66,6 +67,11 @@ def kill_workers(engine: SynthesisEngine) -> None:
         os.kill(proc.pid, signal.SIGKILL)
 
 
+def wave_of(engine: SynthesisEngine, the_job: RoutingJob):
+    """The wave holding ``the_job``'s member (default tenant)."""
+    return engine._members[("", the_job.key())][1]
+
+
 def wait_done(future, timeout=60.0) -> None:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -75,20 +81,18 @@ def wait_done(future, timeout=60.0) -> None:
     pytest.fail("future never completed")
 
 
-def wait_running(future, timeout=60.0) -> None:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if future.running() or future.done():
-            return
-        time.sleep(0.02)
-    pytest.fail("future never started running")
-
-
 @pytest.fixture(autouse=True)
 def chaos_cleanup():
     """No chaos config may leak into the next test (or its pool workers)."""
     yield
     chaos.deactivate()
+
+
+@pytest.fixture
+def rebuild_budget(monkeypatch):
+    """Set the engine's rebuild budget for one test, with no backoff."""
+    monkeypatch.setattr(pool, "BACKOFF_BASE_S", 0.0)
+    return lambda budget: monkeypatch.setattr(pool, "REBUILD_BUDGET", budget)
 
 
 class TestClassification:
@@ -100,23 +104,14 @@ class TestClassification:
         assert classify_failure(ValueError("payload bug")) is FaultKind.PAYLOAD
         assert classify_failure(ChaosInjectedError("x")) is FaultKind.PAYLOAD
 
-    def test_retry_policy_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(rebuild_budget=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(deadline_ms=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_base_s=-0.1)
-
-    def test_backoff_is_capped_exponential(self):
-        policy = RetryPolicy(backoff_base_s=0.05, backoff_cap_s=0.4)
-        assert policy.backoff(0) == pytest.approx(0.05)
-        assert policy.backoff(1) == pytest.approx(0.10)
-        assert policy.backoff(2) == pytest.approx(0.20)
-        assert policy.backoff(3) == pytest.approx(0.40)
-        assert policy.backoff(10) == pytest.approx(0.40)
+    def test_backoff_is_capped_exponential(self, monkeypatch):
+        monkeypatch.setattr(pool, "BACKOFF_BASE_S", 0.05)
+        monkeypatch.setattr(pool, "BACKOFF_CAP_S", 0.4)
+        assert pool._backoff(0) == pytest.approx(0.05)
+        assert pool._backoff(1) == pytest.approx(0.10)
+        assert pool._backoff(2) == pytest.approx(0.20)
+        assert pool._backoff(3) == pytest.approx(0.40)
+        assert pool._backoff(10) == pytest.approx(0.40)
 
 
 class TestWorkerCountValidation:
@@ -146,23 +141,25 @@ class TestWorkerCountValidation:
 
 
 class TestBrokenPoolRecovery:
-    def test_submit_survives_killed_pool(self):
+    def test_submit_survives_killed_pool(self, rebuild_budget):
         """The scheduler-loop guard: submitting against a pool whose
         workers were killed must decline, classify, and rebuild — never
         raise into the caller."""
+        rebuild_budget(1)
         chaos.activate(ChaosConfig(seed=1, delay_p=1.0, delay_ms=10_000))
-        policy = RetryPolicy(retries=0, rebuild_budget=1, backoff_base_s=0.0)
-        eng = SynthesisEngine(workers=WORKERS, policy=policy)
+        eng = SynthesisEngine(workers=WORKERS)
         try:
             assert eng.submit(job(), full_health())
-            spec = next(iter(eng._pending.values()))
+            wave = wave_of(eng, job())
             kill_workers(eng)
-            wait_done(spec.future)  # the executor noticed the dead worker
+            wait_done(wave.future)  # the executor noticed the dead worker
             assert not eng.submit(other_job(), full_health())
             assert eng.errors == 1
             assert eng.faults.get("pool") == 1
             assert eng.rebuilds == 1
             assert eng.pooled and not eng.degraded
+            # The wave that died with the old pool left no member behind.
+            assert eng.take(job(), full_health()) == ("absent", None)
             # The fresh pool accepts work again.
             assert eng.submit(other_job(), full_health())
         finally:
@@ -178,51 +175,52 @@ class TestBrokenPoolRecovery:
         finally:
             eng.close()
 
-    def test_take_classifies_broken_pool_and_resubmits_survivors(self):
-        """A pool breakage fails every in-flight future at once; consuming
-        one classifies the fault, rebuilds the pool, and resubmits the
-        other speculations within their retry budgets."""
+    def test_take_classifies_broken_pool_drops_dead_waves(self, rebuild_budget):
+        """A pool breakage fails every running wave at once; consuming one
+        member classifies the fault and rebuilds the pool, and the members
+        of the other dead waves are dropped, so they miss."""
+        rebuild_budget(2)
         chaos.activate(ChaosConfig(seed=4, delay_p=1.0, delay_ms=10_000))
-        policy = RetryPolicy(retries=2, rebuild_budget=2, backoff_base_s=0.0)
-        eng = SynthesisEngine(workers=WORKERS, policy=policy)
+        eng = SynthesisEngine(workers=WORKERS)
         try:
             assert eng.submit(job(), full_health())
             assert eng.submit(other_job(), full_health())
-            specs = list(eng._pending.values())
+            waves = [wave_of(eng, job()), wave_of(eng, other_job())]
             kill_workers(eng)
-            for spec in specs:
-                wait_done(spec.future)
+            for wave in waves:
+                wait_done(wave.future)
             status, strategy = eng.take(job(), full_health())
             assert (status, strategy) == ("error", None)
             assert eng.faults.get("pool") == 1
             assert eng.rebuilds == 1
-            assert eng.retried == 1  # the survivor rode along
-            inflight = eng._by_job.get(("", other_job().key()))
-            assert inflight is not None
-            assert eng._pending[inflight].attempts == 2
+            assert not eng._members
+            assert eng.take(other_job(), full_health()) == ("absent", None)
+            assert eng.errors == 1
         finally:
             eng._kill_worker_processes()
             eng.close()
 
-    def test_degrades_when_rebuild_budget_exhausted(self):
+    def test_degrades_when_rebuild_budget_exhausted(self, rebuild_budget):
+        rebuild_budget(0)
         journal = obs.RunJournal()
         obs.configure(journal=journal)
         chaos.activate(ChaosConfig(seed=2, delay_p=1.0, delay_ms=10_000))
-        policy = RetryPolicy(retries=0, rebuild_budget=0, backoff_base_s=0.0)
-        eng = SynthesisEngine(workers=WORKERS, policy=policy)
+        eng = SynthesisEngine(workers=WORKERS)
         try:
             assert eng.submit(job(), full_health())
-            spec = next(iter(eng._pending.values()))
+            wave = wave_of(eng, job())
             kill_workers(eng)
-            wait_done(spec.future)
+            wait_done(wave.future)
             status, strategy = eng.take(job(), full_health())
             assert (status, strategy) == ("error", None)
             assert eng.degraded and not eng.pooled
             assert eng.rebuilds == 0  # the budget never allowed one
             assert eng.counters()["degraded"] == 1
-            # Degraded engines decline silently — the scheduler loop must
-            # keep running on the synchronous path.
-            assert not eng.submit(other_job(), full_health())
+            # A degraded engine solves later waves inline: the scheduler
+            # loop keeps running, and chaos never fires in this process.
+            assert eng.submit(other_job(), full_health())
+            status, strategy = eng.take(other_job(), full_health())
+            assert status == "hit" and strategy is not None
             events = [record["event"] for record in journal.records]
             assert "engine.fault" in events
             assert "engine.degraded" in events
@@ -240,40 +238,16 @@ class TestPayloadFaults:
         eng = SynthesisEngine(workers=WORKERS)
         try:
             assert eng.submit(job(), full_health())
-            spec = next(iter(eng._pending.values()))
-            wait_done(spec.future)
+            wait_done(wave_of(eng, job()).future)
             status, strategy = eng.take(job(), full_health())
             assert (status, strategy) == ("error", None)
             assert eng.faults.get("payload") == 1
-            assert eng.rebuilds == 0 and eng.retried == 0
+            assert eng.rebuilds == 0 and eng.submitted == 1
             assert eng.pooled and not eng.degraded
-            # The key is freed: the synchronous fallback's library entry
-            # wins, but a fresh speculation is not blocked.
+            # The synchronous fallback's library entry wins, but a fresh
+            # wave for the key is not blocked.
             assert eng.submit(job(), full_health())
         finally:
-            eng.close()
-
-
-class TestDeadlines:
-    def test_deadline_reaps_hung_worker_and_rebuilds(self):
-        chaos.activate(ChaosConfig(seed=5, delay_p=1.0, delay_ms=30_000))
-        policy = RetryPolicy(
-            retries=0, rebuild_budget=2, backoff_base_s=0.0, deadline_ms=150.0
-        )
-        eng = SynthesisEngine(workers=WORKERS, policy=policy)
-        try:
-            assert eng.submit(job(), full_health())
-            spec = next(iter(eng._pending.values()))
-            wait_running(spec.future)  # the worker picked the payload up...
-            time.sleep(policy.deadline_ms / 1e3 + 0.05)  # ...and is overdue
-            status, strategy = eng.take(job(), full_health())
-            assert (status, strategy) == ("deadline", None)
-            assert eng.deadline_reaps == 1
-            assert eng.rebuilds == 1  # hung worker forced a rebuild
-            assert eng.pooled and not eng.degraded
-            assert eng.submit(job(), full_health())
-        finally:
-            eng._kill_worker_processes()
             eng.close()
 
 
@@ -365,9 +339,26 @@ class TestChaosHarness:
         chaos.deactivate()
         assert chaos.injector() is None
 
+    def test_inline_wave_never_injects_chaos(self):
+        """Chaos faults belong to pool workers: a pool-less engine solves
+        its waves in the caller's process, which must survive a
+        ``kill=1.0`` config."""
+        chaos.activate(ChaosConfig(seed=0, kill_p=1.0, raise_p=1.0))
+        eng = SynthesisEngine(workers=1)
+        try:
+            assert eng.presynthesize_batch(
+                [(job(), None), (other_job(), None)], full_health()
+            ) == 2
+            for the_job in (job(), other_job()):
+                status, strategy = eng.take(the_job, full_health())
+                assert status == "hit" and strategy is not None
+            assert eng.errors == 0
+        finally:
+            eng.close()
+
 
 class TestDegradedDeterminism:
-    def test_mid_assay_degrade_matches_serial_trace(self):
+    def test_mid_assay_degrade_matches_serial_trace(self, rebuild_budget):
         """The headline invariant: an engine whose pool dies mid-assay and
         degrades must route bit-identically to a run with no pool at all."""
         graph = plan(EVALUATION_BIOASSAYS["covid-rat"](), 40, 24)
@@ -390,11 +381,9 @@ class TestDegradedDeterminism:
 
         # Every worker payload dies instantly; the zero rebuild budget
         # degrades the engine on the first classified pool fault.
+        rebuild_budget(0)
         chaos.activate(ChaosConfig(seed=13, kill_p=1.0))
-        engine = SynthesisEngine(
-            workers=WORKERS,
-            policy=RetryPolicy(retries=0, rebuild_budget=0, backoff_base_s=0.0),
-        )
+        engine = SynthesisEngine(workers=WORKERS)
         try:
             degraded_result, degraded_trace = execute(engine)
         finally:

@@ -6,26 +6,13 @@ The pool size can be overridden for CI matrix legs via the
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
-
-from repro.engine.pool import _Speculation
-
-
-def inject_inflight(engine, key, future=None):
-    """Register a hand-made in-flight speculation (tests only)."""
-    if len(key) == 2:  # (job key, fingerprint) shorthand: default tenant
-        key = ("", *key)
-    spec = _Speculation(
-        future if future is not None else Future(), {}, time.monotonic()
-    )
-    engine._pending[key] = spec
-    engine._by_job[key[:2]] = key
-    return spec
 
 from repro.bioassay.library import EVALUATION_BIOASSAYS
 from repro.bioassay.planner import plan
@@ -35,9 +22,13 @@ from repro.biochip.trace import ExecutionTrace
 from repro.core.baseline import AdaptiveRouter
 from repro.core.routing_job import RoutingJob, zone
 from repro.core.scheduler import HybridScheduler
+from repro.core.strategy import health_fingerprint
 from repro.core.synthesis import synthesize
+from repro.degradation.faults import dead_cluster_plan
 from repro.engine import StrategyStore, SynthesisEngine
+from repro.engine.pool import _Wave
 from repro.geometry.rect import Rect
+from repro.reconfig import ReconfigPolicy
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 
@@ -52,19 +43,38 @@ def full_health() -> np.ndarray:
     return np.full((W, H), 3)
 
 
-def wait_for(engine: SynthesisEngine, the_job, health, timeout=60.0):
-    """Wait for the in-flight work to finish, then consume it via take().
+def inject_inflight(engine, the_job, fingerprint, future=None):
+    """Register a hand-made member of a running wave (tests only)."""
+    wave = _Wave(future if future is not None else Future())
+    engine._members[("", the_job.key())] = (fingerprint, wave, 0)
+    engine.submitted += 1
+    return wave
 
-    take() itself cannot be used for polling: a pending-miss *discards*
-    the speculation (the production caller immediately synthesizes
-    synchronously, so a later completion could never be consumed).
-    """
+
+def fingerprint(health) -> bytes:
+    return health_fingerprint(health, job().hazard)
+
+
+def settle(engine: SynthesisEngine, timeout=60.0) -> None:
+    """Wait until every submitted wave has finished (without taking)."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if all(s.future.done() for s in engine._pending.values()):
-            return engine.take(the_job, health)
+        if all(m[1].future.done() for m in engine._members.values()):
+            return
         time.sleep(0.05)
-    pytest.fail("speculation never completed")
+    pytest.fail("wave never completed")
+
+
+def wait_for(engine: SynthesisEngine, the_job, health, timeout=60.0):
+    """Wait for the submitted waves to finish, then consume via take().
+
+    take() itself cannot be used for polling: it pops the member, and a
+    pending member is a miss (the production caller immediately
+    synthesizes synchronously, so a later completion could never be
+    consumed).
+    """
+    settle(engine, timeout)
+    return engine.take(the_job, health)
 
 
 @pytest.fixture
@@ -78,8 +88,11 @@ class TestEngineLifecycle:
     def test_workers_one_disables_pool(self):
         eng = SynthesisEngine(workers=1)
         assert not eng.pooled
-        assert not eng.submit(job(), full_health())
         assert eng.take(job(), full_health()) == ("absent", None)
+        # Without a pool a wave is solved inline before submit returns.
+        assert eng.submit(job(), full_health())
+        status, strategy = eng.take(job(), full_health())
+        assert status == "hit" and strategy is not None
         eng.close()
 
     def test_close_counts_unconsumed_as_wasted(self):
@@ -87,6 +100,7 @@ class TestEngineLifecycle:
         assert eng.submit(job(), full_health())
         eng.close()
         assert eng.wasted == 1
+        assert not eng._members
 
     def test_store_facade_without_pool(self, tmp_path):
         store = StrategyStore(tmp_path / "s.sqlite")
@@ -111,33 +125,36 @@ class TestSpeculation:
             direct.expected_cycles
         )
 
-    def test_duplicate_submission_rejected_while_inflight(self, engine):
+    def test_later_wave_replaces_inflight_member(self, engine):
         assert engine.submit(job(), full_health())
-        assert not engine.submit(job(), full_health())
+        first = engine._members[("", job().key())][1]
+        assert engine.submit(job(), full_health())
+        second = engine._members[("", job().key())][1]
+        assert second is not first
+        assert len(engine._members) == 1
+        assert engine.submitted == 2 and engine.wasted == 1
+        status, _ = wait_for(engine, job(), full_health())
+        assert status == "hit"
 
     def test_pending_counts_as_miss_and_leaves_future(self, engine):
-        """A speculation that has not completed when the strategy is needed
-        is a miss: the caller falls back to synchronous synthesis."""
-        key = (job().key(), b"fp")
-        inject_inflight(engine, key)  # never completes
-        status, strategy = engine.take(job(), full_health())
-        # The manufactured fingerprint cannot match, so this reports stale;
-        # a genuine in-flight future reports pending (exercised below).
-        assert status in ("stale", "pending")
-        assert strategy is None
-
-    def test_inflight_pending_falls_back(self, engine):
-        from repro.core.strategy import health_fingerprint
-
-        key = (job().key(), health_fingerprint(full_health(), job().hazard))
-        inject_inflight(engine, key)  # never completes
+        """A member whose wave has not finished when the strategy is
+        needed is a miss: the caller falls back to synchronous synthesis,
+        and the wave's future is abandoned, never cancelled."""
+        wave = inject_inflight(engine, job(), fingerprint(full_health()))
         status, strategy = engine.take(job(), full_health())
         assert (status, strategy) == ("pending", None)
         assert engine.misses == 1
-        # The pending-miss discards the speculation (counted wasted) so the
-        # job key is immediately free for fresh resubmission.
+        assert not wave.future.cancelled()
+
+    def test_inflight_pending_falls_back(self, engine):
+        inject_inflight(engine, job(), fingerprint(full_health()))
+        status, strategy = engine.take(job(), full_health())
+        assert (status, strategy) == ("pending", None)
+        assert engine.misses == 1
+        # take() popped the member (counted wasted): the job key is free.
         assert engine.wasted == 1
-        assert ("", job().key()) not in engine._by_job
+        assert ("", job().key()) not in engine._members
+        assert engine.take(job(), full_health()) == ("absent", None)
         engine.close()
         assert engine.wasted == 1  # not double-counted at close
 
@@ -146,35 +163,36 @@ class TestSpeculation:
         degraded = full_health()
         degraded[10, 8] = 1  # inside the hazard zone
         status, strategy = engine.take(job(), degraded)
-        assert (status, strategy) == ("stale", None)
-        assert engine.stale == 1 and engine.wasted == 1
-        # The slot is free again for a fresh speculation.
+        assert (status, strategy) == ("absent", None)
+        assert engine.wasted == 1 and not engine._members
+        # A fresh wave for the new health is accepted.
         assert engine.submit(job(), degraded)
 
-    def test_no_plan_is_definitive_and_not_resubmitted(self, engine):
+    def test_no_plan_is_a_definitive_answer(self, engine):
         walled = full_health()
         walled[12, :] = 0
         assert engine.submit(job(), walled)
         status, strategy = wait_for(engine, job(), walled)
         assert (status, strategy) == ("no-plan", None)
-        assert not engine.submit(job(), walled)
+        assert engine.hits == 1
+        # The router returns it without a synchronous synthesis.
+        router = AdaptiveRouter(engine=engine)
+        assert engine.submit(job(), walled)
+        settle(engine)
+        assert router.plan(job(), walled) is None
+        assert router.syntheses == 0
 
 
 class TestRouterIntegration:
     def test_prefetched_plan_skips_synchronous_synthesis(self, engine):
         router = AdaptiveRouter(engine=engine)
         assert router.prefetch_batch([job()], full_health()) == 1
-        # Wait for the wave without consuming the speculation, then plan:
-        # the strategy must come from the speculation, not a synchronous
-        # synthesis.
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            if all(s.future.done() for s in engine._pending.values()):
-                break
-            time.sleep(0.05)
+        # Wait for the wave without consuming it, then plan: the strategy
+        # must come from the wave, not a synchronous synthesis.
+        settle(engine)
         strategy = router.plan(job(), full_health())
         assert strategy is not None
-        assert router.syntheses == 0  # served speculatively
+        assert router.syntheses == 0  # served by presynthesis
         assert engine.hits == 1
         assert router.library.contains(job(), full_health())
 
@@ -185,11 +203,8 @@ class TestRouterIntegration:
         assert engine.submitted == 0
 
     def test_plan_falls_back_when_speculation_pending(self, engine):
-        from repro.core.strategy import health_fingerprint
-
         router = AdaptiveRouter(engine=engine)
-        key = (job().key(), health_fingerprint(full_health(), job().hazard))
-        inject_inflight(engine, key)  # never completes
+        inject_inflight(engine, job(), fingerprint(full_health()))
         strategy = router.plan(job(), full_health())
         assert strategy is not None
         assert router.syntheses == 1  # synchronous fallback
@@ -271,3 +286,61 @@ class TestDeterminism:
             assert pf.cycle == sf.cycle
             assert pf.droplets == sf.droplets
             assert pf.moving == sf.moving
+
+
+def _digest(trace: ExecutionTrace) -> str:
+    hasher = hashlib.sha256()
+    for frame in trace.frames:
+        hasher.update(
+            repr((frame.cycle, frame.droplets, frame.moving)).encode()
+        )
+    return hasher.hexdigest()
+
+
+class TestMultiRunIdentity:
+    def test_consecutive_runs_on_aging_chip_match_engineless(self):
+        """The ``repro run --runs N`` shape: one pooled engine and one
+        chip across runs, reconfiguration on, and a dead cluster under the
+        first mixer slot that trips during run 2.  Runs then remap, leave
+        members of retired jobs untaken, and later waves replace them; no
+        run may route differently from the same sequence without an
+        engine."""
+        width, height = 60, 30
+        graph = plan(EVALUATION_BIOASSAYS["master-mix"](), width, height)
+
+        def execute(engine):
+            chip = MedaChip.sample(
+                width, height, np.random.default_rng(0),
+                tau_range=(0.95, 0.99), c_range=(5000.0, 9000.0),
+                fault_plan=dead_cluster_plan(
+                    width, height, [(10.5, 19.5)], fail_at=15.0
+                ),
+            )
+            router = AdaptiveRouter(engine=engine)
+            runs = []
+            for run in range(4):
+                scheduler = HybridScheduler(
+                    graph, router, width, height,
+                    reconfig=ReconfigPolicy(width, height),
+                )
+                trace = ExecutionTrace()
+                sim = MedaSimulator(
+                    chip, np.random.default_rng(7 + run), trace=trace
+                )
+                if engine is not None:
+                    scheduler.presynthesize(chip.health())
+                result = sim.run(scheduler, max_cycles=1200)
+                runs.append((result.success, result.cycles,
+                             scheduler.remaps, _digest(trace)))
+            return runs
+
+        reference = execute(None)
+        engine = SynthesisEngine(workers=WORKERS)
+        try:
+            pooled = execute(engine)
+        finally:
+            engine.close()
+        assert any(remaps for _, _, remaps, _ in reference)
+        assert pooled == reference
+        # Some members were dropped without ever being taken.
+        assert engine.wasted > engine.misses

@@ -11,7 +11,6 @@ import pytest
 from repro import obs, perf
 from repro.core.routing_job import RoutingJob, zone
 from repro.engine import SynthesisEngine
-from repro.engine.payload import correlation_id
 from repro.geometry.rect import Rect
 from repro.obs.journal import RunJournal
 from repro.obs.metrics import MetricsRegistry
@@ -184,6 +183,11 @@ class TestMergeTelemetry:
         assert solve["pid"] == 555
 
 
+def wave_of(engine: SynthesisEngine, job: RoutingJob):
+    """The wave holding ``job``'s member (default tenant)."""
+    return engine._members[("", job.key())][1]
+
+
 class TestPooledEndToEnd:
     def test_submit_take_merges_worker_telemetry(self):
         tracer, journal = obs.configure(tracing=True, journal=RunJournal(),
@@ -192,29 +196,25 @@ class TestPooledEndToEnd:
         health = np.full((W, H), 3)
         with SynthesisEngine(workers=WORKERS) as engine:
             assert engine.submit(job, health)
-            spec = next(iter(engine._pending.values()))
-            assert "telemetry" in spec.payload
-            assert spec.span_id is not None
-            wait_done(spec.future)
+            wave = wave_of(engine, job)
+            assert wave.span_id is not None
+            wait_done(wave.future)
+            assert "telemetry" in wave.future.result()
             status, strategy = engine.take(job, health)
+            assert wave.merged
         assert status == "hit" and strategy is not None
         solve_spans = tracer.find("worker.solve")
         assert len(solve_spans) == 1
         solve = solve_spans[0]
-        submit = tracer.find("engine.submit")[0]
+        submit = tracer.find("engine.batch.submit")[0]
         assert solve.parent_id == submit.span_id
         assert solve.pid not in (None, os.getpid())
-        from repro.core.strategy import health_fingerprint
-
-        expected_corr = correlation_id(
-            job.key(), health_fingerprint(health, job.hazard)
-        )
-        assert spec.payload["telemetry"]["corr"] == expected_corr
-        assert solve.attrs["corr"] == expected_corr
+        assert solve.attrs["corr"].startswith("batch@")
         worker_events = [r for r in journal.records
                          if r["event"] == "worker.synthesis"]
         assert len(worker_events) == 1
         assert worker_events[0]["worker_pid"] == solve.pid
+        assert worker_events[0]["corr"] == solve.attrs["corr"]
         assert worker_events[0]["exists"] is True
         assert perf.get("worker.solves") == 1
         assert perf.get("obs.worker.merges") >= 1
@@ -232,8 +232,9 @@ class TestPooledEndToEnd:
                 [(job_a, None), (job_b, None)], health
             )
             assert accepted == 2
-            future = next(iter(engine._pending.values())).future
-            wait_done(future)
+            wave = wave_of(engine, job_a)
+            assert wave_of(engine, job_b) is wave
+            wait_done(wave.future)
             status_a, _ = engine.take(job_a, health)
             status_b, _ = engine.take(job_b, health)
         assert status_a == "hit" and status_b == "hit"
@@ -257,14 +258,14 @@ class TestPooledEndToEnd:
         engine = SynthesisEngine(workers=WORKERS)
         try:
             assert engine.submit(job, health)
-            spec = next(iter(engine._pending.values()))
-            # Consume while still pending: a miss that discards the spec.
-            status, _ = engine.take(job, health)
-            if status == "pending":
-                # The worker finishes anyway; close() salvages its bundle.
-                wait_done(spec.future)
+            wave = wave_of(engine, job)
+            # Never taken: the wave finishes unconsumed...
+            wait_done(wave.future)
+            assert not wave.merged
         finally:
             engine.close()
+        # ...and close() merges its bundle.
+        assert wave.merged
         assert len(tracer.find("worker.solve")) == 1
         assert perf.get("worker.solves") == 1
 
@@ -273,9 +274,8 @@ class TestPooledEndToEnd:
         health = np.full((W, H), 3)
         with SynthesisEngine(workers=WORKERS) as engine:
             assert engine.submit(job, health)
-            spec = next(iter(engine._pending.values()))
-            assert "telemetry" not in spec.payload
-            wait_done(spec.future)
+            wave = wave_of(engine, job)
+            wait_done(wave.future)
+            assert "telemetry" not in wave.future.result()
             status, strategy = engine.take(job, health)
         assert status == "hit" and strategy is not None
-        assert "telemetry" not in spec.future.result()

@@ -195,67 +195,18 @@ class TestFinishStamp:
 
 @pytest.mark.skipif(WORKERS < 2, reason="needs a worker pool")
 class TestFairShare:
-    def test_second_tenant_shrinks_the_share(self):
-        engine = SynthesisEngine(workers=WORKERS, max_inflight=4)
-        try:
-            view_a = engine.tenant("a")
-            view_b = engine.tenant("b")
-            health = full_health()
-            # Two active tenants split max_inflight=4 into 2 each.
-            assert view_a.submit(make_job(18), health)
-            assert view_a.submit(make_job(20), health)
-            assert not view_a.submit(make_job(22), health)  # over a's share
-            assert engine.fair_rejected == 1
-            assert view_b.submit(make_job(18), health)  # b unaffected
-            view_b.close()
-            # a is the lone tenant again: the full budget is its share.
-            assert view_a.submit(make_job(22), health)
-        finally:
-            engine.close()
-
     def test_released_tenant_speculations_are_discarded(self):
         engine = SynthesisEngine(workers=WORKERS)
         try:
             view = engine.tenant("ephemeral")
-            assert view.submit(make_job(18), full_health())
-            assert len(engine._pending) == 1
+            other = engine.tenant("other")
+            items = [(make_job(18), None)]
+            assert view.presynthesize_batch(items, full_health()) == 1
+            assert other.presynthesize_batch(items, full_health()) == 1
+            assert len(engine._members) == 2
             view.close()
-            assert len(engine._pending) == 0
+            assert list(engine._members) == [("other", make_job(18).key())]
             assert engine.wasted == 1
-        finally:
-            engine.close()
-
-
-class TestAdmissionFloor:
-    def test_single_tenant_single_core_skips_speculation(self, monkeypatch):
-        import repro.engine.pool as pool_mod
-
-        monkeypatch.setattr(pool_mod.os, "cpu_count", lambda: 1)
-        engine = SynthesisEngine(workers=WORKERS, admission_floor=True)
-        try:
-            if not engine.pooled:
-                pytest.skip("pool unavailable")
-            assert not engine.submit(make_job(18), full_health())
-            assert engine.floor_skips == 1
-            # Two registered tenants are concurrent demand: floor lifts.
-            view_a = engine.tenant("a")
-            view_b = engine.tenant("b")
-            assert view_a.submit(make_job(18), full_health())
-            view_a.close()
-            view_b.close()
-        finally:
-            engine.close()
-
-    def test_multicore_never_floors(self, monkeypatch):
-        import repro.engine.pool as pool_mod
-
-        monkeypatch.setattr(pool_mod.os, "cpu_count", lambda: 4)
-        engine = SynthesisEngine(workers=WORKERS, admission_floor=True)
-        try:
-            if not engine.pooled:
-                pytest.skip("pool unavailable")
-            assert engine.submit(make_job(18), full_health())
-            assert engine.floor_skips == 0
         finally:
             engine.close()
 
