@@ -136,36 +136,9 @@ def _mask(n: int, members: set[int]) -> np.ndarray:
     return mask
 
 
-def _scatter_opt(
-    owners: np.ndarray, q: np.ndarray, n: int, maximize: bool
-) -> np.ndarray:
-    """Per-state optimum of per-choice values ``q`` (±inf for choiceless)."""
-    out = np.full(n, -np.inf if maximize else np.inf)
-    if maximize:
-        np.maximum.at(out, owners, q)
-    else:
-        np.minimum.at(out, owners, q)
-    return out
-
-
-def _argopt_choice(
-    owners: np.ndarray, q: np.ndarray, per_state: np.ndarray, n: int
-) -> np.ndarray:
-    """First choice index per state achieving its optimal value.
-
-    Fully vectorized: among the choices whose value matches the owner's
-    optimum, ``np.unique(..., return_index=True)`` picks the first
-    occurrence per state (``hit`` indices are scanned in ascending choice
-    order, so the first occurrence is the lowest matching choice index).
-    """
-    choice = np.full(n, -1, dtype=np.int64)
-    hit = np.isclose(q, per_state[owners], rtol=0.0, atol=1e-12) | (
-        q == per_state[owners]
-    )
-    idx = np.flatnonzero(hit)
-    states, first = np.unique(owners[idx], return_index=True)
-    choice[states] = idx[first]
-    return choice
+#: Absolute tolerance within which a choice ties its owner's optimum in
+#: strategy extraction; the lowest tying choice index wins.
+_TIE_ATOL = 1e-12
 
 
 def _sanitize_probability_seed(
@@ -215,22 +188,34 @@ def _extract(
     rewards: np.ndarray | None,
     maximize: bool,
 ) -> np.ndarray:
-    """Greedy strategy (global choice indices) from converged values."""
-    n = cm.num_states
-    owners = cm.choice_state
-    t = cm.transitions
-    if t.shape[0] != cm.num_choices:
-        t = t[: cm.num_choices]
-    q = t @ values
+    """Greedy strategy (global choice indices) from converged values.
+
+    Each state takes the lowest-index choice of ``choice_mask`` whose
+    q-value lies within :data:`_TIE_ATOL` of the state's optimum, and
+    ``-1`` where it owns no masked choice (or none compares, as with a
+    NaN optimum).  Choices are grouped by owner, so the optimum and the
+    first tying choice are each one segment reduction over the owners'
+    start offsets.
+    """
+    choice = np.full(cm.num_states, -1, dtype=np.int64)
+    idx = np.flatnonzero(choice_mask)
+    if idx.size == 0:
+        return choice
+    q = interval._rows(cm) @ values
     if rewards is not None:
         q = rewards + q
-    per_state = _scatter_opt(owners[choice_mask], q[choice_mask], n, maximize)
-    choice = _argopt_choice(owners[choice_mask], q[choice_mask], per_state, n)
-    mask_idx = np.flatnonzero(choice_mask)
-    remapped = np.full(n, -1, dtype=np.int64)
-    has = choice >= 0
-    remapped[has] = mask_idx[choice[has]]
-    return remapped
+    q = q[idx]
+    own = cm.choice_state[idx]
+    newseg = np.r_[True, own[1:] != own[:-1]]
+    starts = np.flatnonzero(newseg)
+    red = np.maximum.reduceat if maximize else np.minimum.reduceat
+    best = red(q, starts)[np.cumsum(newseg) - 1]
+    with np.errstate(invalid="ignore"):  # inf - inf: equality decides
+        hit = (np.abs(q - best) <= _TIE_ATOL) | (q == best)
+    first = np.minimum.reduceat(np.where(hit, idx, cm.num_choices), starts)
+    found = first < cm.num_choices
+    choice[own[starts[found]]] = first[found]
+    return choice
 
 
 def solve_reach_avoid_probability(
@@ -313,10 +298,10 @@ def _reward_region(
     probability-one region (PRISM total-reward semantics: any chance of
     leaving it means reward accrues forever on the non-reaching runs).
     """
-    sure = precompute.prob1e_mask(cm, goal_mask, avoid_mask)
+    struct = precompute.structure(cm)
+    sure = precompute.prob1e_mask(cm, goal_mask, avoid_mask, struct)
     n = cm.num_states
     owners = cm.choice_state
-    struct = precompute.structure(cm)
     stays = (struct @ (~sure).astype(np.int8)) == 0
     usable = stays & sure[owners] & ~goal_mask[owners]
     active = np.zeros(n, dtype=bool)

@@ -41,7 +41,12 @@ while passing it).  This module replaces that with *certified* solving:
 The unknown region is solved as one block: policy iteration with exact
 linear solves (:func:`_policy_fixpoint`) proposes values that one Bellman
 application each certifies, and the bracketing sweeps above close
-whatever gap remains.
+whatever gap remains.  Policy evaluation has one path: a graph check
+that the policy is proper (every block state reaches an exit through the
+policy's support), then a sparse LU of ``I - P_pi``, with later rounds
+solved by ``bicgstab`` preconditioned by that factorization.  An
+improper policy is never factorized; it restarts the rounds from a
+policy built to step toward the exits.
 
 The module is deliberately free of model/label handling — callers hand in
 masks and get an :class:`IntervalSolution` back; :mod:`.compiled` owns the
@@ -85,21 +90,14 @@ _SMOOTH_SWEEPS = 8
 #: attempt (candidates ``est -/+ delta`` and ``est -/+ 64 delta``).
 _SLACK_GROWTH = 64.0
 
-#: Largest block whose policy-iteration linear systems are solved
-#: densely (``np.linalg.solve``).  Slowly mixing blocks — escape mass per
-#: sweep near zero — make any sweep-based scheme crawl; a policy's exact
-#: value costs one solve and verifies immediately, so direct solving
-#: skips iteration entirely.  Above this size the dense ``O(n^3)``
-#: factorization loses to sparsity, so policy iteration switches to a
-#: sparse LU of ``I - P_pi`` (the routing MDPs have a handful of
-#: successors per choice, so fill-in stays benign).
-_DIRECT_MAX = 512
-
 #: Largest block attempted by sparse-LU policy iteration before
-#: falling back to accelerated sweeping outright.  Grid-local transition
-#: structure keeps LU fill-in near-linear well past this size; the cap
-#: only guards against pathological dense-ish blocks where factorization
-#: could dwarf the sweeps it replaces.
+#: falling back to accelerated sweeping outright.  Slowly mixing blocks —
+#: escape mass per sweep near zero — make any sweep-based scheme crawl,
+#: while a policy's exact value costs one sparse LU of ``I - P_pi`` and
+#: verifies immediately.  The routing MDPs have a handful of successors
+#: per choice and grid-local structure, so fill-in stays near-linear well
+#: past this size; the cap only guards against pathological dense-ish
+#: blocks where factorization could dwarf the sweeps it replaces.
 _SPARSE_DIRECT_MAX = 65536
 
 #: Policy-improvement rounds before the direct solver gives up.
@@ -403,31 +401,30 @@ def _policy_fixpoint(
     *,
     maximize: bool,
 ) -> np.ndarray | None:
-    """Exact block values by policy iteration with direct linear solves.
+    """Exact block values by policy iteration with sparse LU solves.
 
     ``Tsub``/``rsub``/``own`` describe the block's choices; ``outside``
     supplies certified values for successors outside the block (its
     entries at ``states`` are overwritten).  Each round solves
-    ``(I - P_pi) x = r_pi + P_pi->outside`` for the current policy —
-    densely up to ``_DIRECT_MAX`` states, by sparse LU beyond that — and
-    improves it; improvement switches a state's action only on *strict*
-    q-value improvement, so starting from the proper exit policy the
-    iteration can never drift into an improper (forever-looping) policy
-    through ties, and a stable policy's value is the Bellman fixpoint to
-    machine precision.  Returns the last solvable iterate (``None`` when
-    no proper start exists or the first system is singular/non-finite);
-    the caller certifies the result before trusting it, so a stale or
-    garbage iterate merely fails verification.
+    ``(I - P_pi) x = r_pi + P_pi->outside`` for the current policy by a
+    sparse LU of ``I - P_pi`` and improves it; improvement switches a
+    state's action only on *strict* q-value improvement, so ties cannot
+    flap the policy, and a stable policy's value is the Bellman fixpoint
+    to machine precision.  Returns the last evaluated iterate (``None``
+    when no proper policy is found); the caller certifies the result
+    before trusting it, so a stale iterate merely fails verification.
 
     The starting policy comes from a value-iteration prelude: greedy
     policies settle long before values converge, and a sweep costs a
-    sparse matvec while a policy evaluation costs a factorization.  In
-    the sparse regime only the first evaluation factorizes; later rounds
-    solve iteratively, preconditioned by that factorization (consecutive
-    policies differ in few rows), and refactorize only when the iterative
-    solve stalls.  A prelude policy is not guaranteed proper (it can loop
-    inside the block), so a singular or non-finite evaluation restarts
-    once from the backward-BFS exit policy, which is.
+    sparse matvec while a policy evaluation costs a factorization.  Only
+    the first evaluation factorizes; later rounds solve iteratively,
+    preconditioned by that factorization (consecutive policies differ in
+    few rows), and refactorize only when the iterative solve stalls.  A
+    prelude policy is not guaranteed proper (it can loop inside the
+    block, leaving ``I - P_pi`` singular), so every policy is checked
+    from the graph before it is evaluated (:func:`_proper`); an improper
+    one restarts the rounds once from the backward-BFS exit policy,
+    which is proper by construction.
     """
     Tblock = Tsub[:, states]
     vals = outside.copy()
@@ -513,6 +510,63 @@ def _pi_finish(
     )
 
 
+def _proper(Ppi: sparse.csr_matrix, exits: np.ndarray) -> bool:
+    """Whether every block state reaches an exit through ``Ppi``'s support.
+
+    ``Ppi`` is the policy's block-to-block transition matrix and ``exits``
+    marks its rows with support outside the block.  Every state reaches
+    some bottom strongly connected component of the support graph, so all
+    states reach an exit exactly when every bottom component holds an
+    exit row: one strong-components pass.  A policy failing this is
+    improper — some states loop inside the block forever, and ``I - P_pi``
+    is singular there.
+    """
+    if not Ppi.data.all():
+        Ppi = Ppi.copy()
+        Ppi.eliminate_zeros()
+    count, comp = csgraph.connected_components(
+        Ppi, directed=True, connection="strong"
+    )
+    rows = np.repeat(np.arange(Ppi.shape[0]), np.diff(Ppi.indptr))
+    src = comp[rows]
+    ok = np.zeros(count, dtype=bool)
+    ok[src[src != comp[Ppi.indices]]] = True
+    ok[comp[exits]] = True
+    return bool(ok.all())
+
+
+def _evaluate(
+    A: sparse.csc_matrix,
+    b: np.ndarray,
+    x: np.ndarray | None,
+    lu: sparse_linalg.SuperLU | None,
+) -> tuple[np.ndarray | None, sparse_linalg.SuperLU | None]:
+    """Solve ``A x = b`` for a proper policy; returns ``(x, lu)``.
+
+    Consecutive policies differ in few rows, so the previous round's
+    factorization ``lu`` is an excellent preconditioner: a handful of
+    ``bicgstab`` matvecs replace a fresh factorization, which happens only
+    when the iterative solve stalls.  ``(None, None)`` when the system is
+    numerically singular despite the proper support (a probability that
+    rounds to 1 next to a sub-ulp exit).
+    """
+    if lu is not None:
+        xn, info = sparse_linalg.bicgstab(
+            A, b, x0=x, rtol=1e-12, atol=0.0, maxiter=32,
+            M=sparse_linalg.LinearOperator(A.shape, lu.solve),
+        )
+        if info == 0 and np.all(np.isfinite(xn)):
+            return xn, lu
+    try:
+        lu = sparse_linalg.splu(A)
+    except RuntimeError:
+        return None, None
+    xn = lu.solve(b)
+    if not np.all(np.isfinite(xn)):
+        return None, None
+    return xn, lu
+
+
 def _pi_rounds(
     states: np.ndarray,
     Tsub: sparse.csr_matrix,
@@ -532,45 +586,30 @@ def _pi_rounds(
     batched kernel (:mod:`.batch`) can run its own vectorized settling
     prelude across many models and still finish each model through the
     *same* rounds loop — keeping batched and solo results bit-identical.
+
+    Each round first checks from the graph that the policy is proper
+    (:func:`_proper`) and only then factorizes; an improper policy is
+    never evaluated but restarts the rounds once from the backward-BFS
+    exit policy (``vi.pi.improper_restarts``).
     """
     fast = _make_argopt(own)
     argopt = fast if fast is not None else (
         lambda q, m: _argopt_idx(own, q, m))
+    # Probabilities are non-negative, so a positive mass outside the
+    # block marks exactly the rows whose support leaves it.
+    exits = (Tsub @ (~block).astype(float)) > 0
+    eye = sparse.identity(states.size, format="csr")
     x = None
     lu = None
-    dense = states.size <= _DIRECT_MAX
-    eye = (np.eye(states.size) if dense
-           else sparse.identity(states.size, format="csr"))
     for _ in range(_PI_MAX_ROUNDS):
         budget.tick()
         Ppi = Tblock[chosen]
         xn = None
-        try:
-            if dense:
-                xn = np.linalg.solve(eye - Ppi.toarray(), base[chosen])
-            else:
-                A = (eye - Ppi).tocsc()
-                if lu is not None:
-                    # Consecutive policies differ in few rows, so the
-                    # previous round's factorization is an excellent
-                    # preconditioner — a handful of matvecs replace a
-                    # fresh factorization.
-                    xn, info = sparse_linalg.bicgstab(
-                        A, base[chosen], x0=x, rtol=1e-12, atol=0.0,
-                        maxiter=32,
-                        M=sparse_linalg.LinearOperator(A.shape, lu.solve),
-                    )
-                    if info != 0:
-                        xn = None
-                if xn is None:
-                    # splu raises RuntimeError on an exactly singular
-                    # factor (an improper policy trapped in the block).
-                    lu = sparse_linalg.splu(A)
-                    xn = lu.solve(base[chosen])
-        except (np.linalg.LinAlgError, RuntimeError):
-            xn = None
-            lu = None
-        if xn is None or not np.all(np.isfinite(xn)):
+        if _proper(Ppi, exits[chosen]):
+            xn, lu = _evaluate((eye - Ppi).tocsc(), base[chosen], x, lu)
+        else:
+            perf.incr("vi.pi.improper_restarts")
+        if xn is None:
             if fellback:
                 return x
             fellback = True
@@ -950,11 +989,11 @@ def _solve_reward_block(
         _verify_reward_seed(lower, block, phi_of, seed, epsilon, budget)
 
     # Direct solve: exact policy iteration, both bounds certified from
-    # the machine-precision value in two Bellman applications (dense
-    # solves for small blocks, sparse LU for large ones).  Only for
-    # minimization, where every policy of the usable restriction
-    # that PI stabilizes on is proper; the verification gate below
-    # keeps an improper intermediate from ever leaking out.
+    # the machine-precision value in two Bellman applications.  Only
+    # for minimization, where every policy of the usable restriction
+    # that PI stabilizes on is proper; improper intermediates are
+    # caught from the graph before evaluation, and the verification
+    # gate below keeps any unconverged iterate from leaking out.
     states = np.flatnonzero(block)
     if minimize and states.size <= _SPARSE_DIRECT_MAX:
         if presettled is _NO_PRESETTLE:

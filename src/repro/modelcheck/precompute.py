@@ -23,9 +23,10 @@ is a model whose every state has value exactly 1 but whose plain iteration
 contracts at rate ``1 - 6.4e-3``; precomputation settles it with zero
 numeric sweeps.
 
-Everything here is vectorized: each fixpoint round is one boolean sparse
-mat-vec over the structure matrix, so cost scales with the number of
-transitions times the graph diameter, not with state pairs.
+Everything here is vectorized.  Each backward reachability closure is one
+breadth-first search over the reversed state/choice graph, linear in the
+number of transitions; each round of a greatest fixpoint is one boolean
+sparse mat-vec over the structure matrix.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from repro import perf
 
@@ -58,12 +60,17 @@ def structure(cm) -> sparse.csr_matrix:
 
     ``CompiledMDP.transitions`` pads a single empty row when the model has
     no choices at all; the padding is sliced off so row indices line up
-    with ``choice_state``.
+    with ``choice_state``.  Built in one pass over the stored entries: a
+    stored zero keeps its slot with value 0, which no mat-vec counts, so
+    every ``struct @ mask`` test sees exactly the support.
     """
     t = cm.transitions
     if t.shape[0] != cm.num_choices:
         t = t[: cm.num_choices]
-    return (t > 0).astype(np.int8)
+    return sparse.csr_matrix(
+        ((t.data > 0).astype(np.int8), t.indices.copy(), t.indptr.copy()),
+        shape=t.shape,
+    )
 
 
 def _exists_reach(
@@ -75,16 +82,33 @@ def _exists_reach(
     """States with a positive-probability path to ``target`` via live choices.
 
     Backward closure: a state joins when one of its live choices has support
-    intersecting the current set.  One round per graph depth.
+    intersecting the current set.  Computed as one breadth-first search over
+    the reversed state/choice graph: a root points at the ``target`` states,
+    each state at the choices with it in their support, and each live choice
+    at its owner, so the states the search reaches are the closure.
     """
-    y = target.copy()
-    while True:
-        hits = (struct @ y.astype(np.int8)) > 0
-        src = owners[hits & live]
-        if np.all(y[src]):
-            return y
-        y = y.copy()
-        y[src] = True
+    n = target.size
+    root = n + owners.size
+    into = struct.tocsc()  # row t lists the choices with t in their support
+    into.eliminate_zeros()
+    seeds = np.flatnonzero(target)
+    lives = np.flatnonzero(live)
+    end = into.indptr[-1]
+    indptr = np.concatenate((
+        into.indptr,
+        end + np.cumsum(live),
+        [end + lives.size + seeds.size],
+    ))
+    indices = np.concatenate((into.indices + n, owners[lives], seeds))
+    graph = sparse.csr_matrix(
+        (np.ones(indices.size), indices, indptr), shape=(root + 1, root + 1)
+    )
+    reached = csgraph.breadth_first_order(
+        graph, root, directed=True, return_predecessors=False
+    )
+    y = np.zeros(root + 1, dtype=bool)
+    y[reached] = True
+    return y[:n]
 
 
 def _live_choices(owners: np.ndarray, frozen: np.ndarray) -> np.ndarray:
@@ -126,15 +150,7 @@ def prob1e_mask(
     z = ~avoid_mask & (goal_mask | has_choice)
     while True:
         ok = ((struct @ (~z).astype(np.int8)) == 0) & z[owners]
-        y = goal_mask & z
-        while True:
-            hits = (struct @ y.astype(np.int8)) > 0
-            new_y = y.copy()
-            new_y[owners[ok & hits]] = True
-            new_y |= goal_mask & z
-            if np.array_equal(new_y, y):
-                break
-            y = new_y
+        y = _exists_reach(struct, owners, ok, goal_mask & z)
         if np.array_equal(y, z):
             return z
         z = y

@@ -42,7 +42,9 @@ from repro.engine import pool
 from repro.engine.faults import FaultKind, classify_failure
 from repro.geometry.rect import Rect
 
-WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
+#: The subject of these tests is the worker pool, which ``workers=1`` does
+#: not build, so ``REPRO_TEST_WORKERS`` below 2 still gets a 2-worker pool.
+WORKERS = max(2, int(os.environ.get("REPRO_TEST_WORKERS", "2")))
 
 W, H = 30, 20
 

@@ -1,7 +1,7 @@
 """Tests for the synthesis engine (worker pool + router wiring).
 
-The pool size can be overridden for CI matrix legs via the
-``REPRO_TEST_WORKERS`` environment variable (default 2).
+The pool size can be raised for CI matrix legs via the
+``REPRO_TEST_WORKERS`` environment variable (default and minimum 2).
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ from repro.engine.pool import _Wave
 from repro.geometry.rect import Rect
 from repro.reconfig import ReconfigPolicy
 
-WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
+#: The subject of these tests is the worker pool, which ``workers=1`` does
+#: not build, so ``REPRO_TEST_WORKERS`` below 2 still gets a 2-worker pool.
+WORKERS = max(2, int(os.environ.get("REPRO_TEST_WORKERS", "2")))
 
 W, H = 30, 20
 

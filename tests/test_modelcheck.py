@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from repro import perf
 from repro.modelcheck.compiled import (
+    CompiledMDP,
+    _extract,
     compile_mdp,
     solve_reach_avoid_probability,
     solve_reach_avoid_reward,
 )
+from repro.modelcheck.interval import _proper
 from repro.modelcheck.model import MDP, Choice
 from repro.modelcheck.precompute import prob1e_mask
 from repro.modelcheck.properties import (
@@ -350,6 +354,82 @@ class TestRegressionSeeds:
         )
 
 
+def looping_mdp(length: int = 3) -> MDP:
+    """A chain whose value-iteration prelude settles on an improper policy.
+
+    Every chain state has a cheap ``stay`` (a probability-1 self-loop) and
+    an expensive ``go`` toward the goal.  Sweeping from 0 raises ``stay``'s
+    q-value by one per sweep, so for the prelude's first checks ``stay``
+    is strictly best everywhere and the held policy closes every state on
+    itself: no row exits the block, and ``I - P_pi`` is singular (the
+    shape of regression seed 7137).
+    """
+    mdp = MDP()
+    mdp.set_initial("s0")
+    for k in range(length):
+        nxt = f"s{k + 1}" if k + 1 < length else "goal"
+        mdp.add_choice(f"s{k}", "stay", [(f"s{k}", 1.0)], reward=1.0)
+        mdp.add_choice(
+            f"s{k}", "go", [(nxt, 0.9), (f"s{k}", 0.1)], reward=20.0
+        )
+    mdp.add_label("goal", "goal")
+    return mdp
+
+
+class TestImproperHeldPolicy:
+    """A policy closed inside the block is caught from the graph."""
+
+    def test_rmin_restarts_from_exit_policy_and_certifies(self):
+        mdp = looping_mdp()
+        cm = compile_mdp(mdp)
+        perf.reset()
+        res = solve_reach_avoid_reward(cm, epsilon=1e-10)
+        assert perf.get("vi.pi.improper_restarts") == 1
+        assert_certified(res, 1e-10)
+        ref = reach_avoid_reward(mdp, epsilon=1e-12)
+        np.testing.assert_allclose(res.values, ref.values, rtol=1e-9)
+        strategy = extract_strategy(mdp, res)
+        assert strategy.action("s0") == "go"
+
+    def test_numerically_singular_proper_policy_falls_back(self):
+        # "leak" exits with a sub-ulp probability: proper on the graph, yet
+        # 1 - 1.0 leaves I - P_pi exactly singular, so the LU fails and the
+        # certified sweeps answer instead.
+        mdp = MDP()
+        mdp.set_initial("s0")
+        mdp.add_choice("s0", "leak", [("s0", 1.0), ("goal", 1e-300)],
+                       reward=1.0)
+        mdp.add_choice("s0", "go", [("goal", 1.0)], reward=20.0)
+        mdp.add_label("goal", "goal")
+        res = solve_reach_avoid_reward(compile_mdp(mdp), epsilon=1e-10)
+        assert_certified(res, 1e-10)
+        assert res.values[mdp.initial] == pytest.approx(20.0)
+        assert extract_strategy(mdp, res).action("s0") == "go"
+
+    @staticmethod
+    def policy(rows: list[list[tuple[int, float]]]) -> sparse.csr_matrix:
+        i, j, p = zip(*((i, j, p) for i, row in enumerate(rows)
+                        for j, p in row))
+        return sparse.csr_matrix((p, (i, j)), shape=(len(rows), len(rows)))
+
+    def test_proper_check_cases(self):
+        exits = np.array([True, False])
+        # Two states cycling, one of them exiting: proper.
+        assert _proper(self.policy([[(1, 0.5)], [(0, 1.0)]]), exits)
+        # State 1 closes on itself, although state 0 exits: improper.
+        assert not _proper(self.policy([[(1, 0.5)], [(1, 1.0)]]), exits)
+        # No exiting row at all: improper.
+        assert not _proper(
+            self.policy([[(1, 1.0)], [(0, 1.0)]]), np.array([False, False])
+        )
+        # A stored zero is not an edge: state 1 cannot reach state 0.
+        stored_zero = sparse.csr_matrix(
+            ([0.5, 0.0, 1.0], [0, 0, 1], [0, 1, 3]), shape=(2, 2)
+        )
+        assert stored_zero.nnz == 3
+        assert not _proper(stored_zero, exits)
+
+
 class TestWarmStartValidation:
     """Seeds are validated and side-corrected, never silently clipped."""
 
@@ -561,3 +641,67 @@ class TestDeepLayeredModel:
         np.testing.assert_allclose(
             rmin.values[finite], ref.values[finite], rtol=1e-8
         )
+
+
+def _extract_oracle(owners, q, choice_mask, n, maximize):
+    """Scatter-and-unique strategy extraction: the per-state optimum by
+    ``np.maximum.at``/``np.minimum.at``, then the lowest masked choice
+    within ``1e-12`` of it by ``np.unique``.  Kept as the oracle for the
+    segment-reduction :func:`_extract`."""
+    own, qm = owners[choice_mask], q[choice_mask]
+    per_state = np.full(n, -np.inf if maximize else np.inf)
+    (np.maximum if maximize else np.minimum).at(per_state, own, qm)
+    hit = np.isclose(qm, per_state[own], rtol=0.0, atol=1e-12) | (
+        qm == per_state[own]
+    )
+    idx = np.flatnonzero(hit)
+    states, first = np.unique(own[idx], return_index=True)
+    out = np.full(n, -1, dtype=np.int64)
+    out[states] = np.flatnonzero(choice_mask)[idx[first]]
+    return out
+
+
+#: Offsets from a common base value: exact ties, near-ties inside the
+#: ``1e-12`` tie tolerance (and pairs just outside it), clear winners and
+#: losers, and an infinite q-value.
+_Q_OFFSETS = (0.0, 0.0, 4e-13, -4e-13, 9e-13, 2e-12, -2e-12, 1.0, -1.0,
+              np.inf)
+
+
+@st.composite
+def owner_grouped_choices(draw):
+    n = draw(st.integers(1, 8))
+    counts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    owners = np.repeat(np.arange(n), counts)
+    nc = owners.size
+    base = draw(st.sampled_from((0.0, 1.0, 7.5, 1e3)))
+    offsets = draw(st.lists(st.sampled_from(_Q_OFFSETS),
+                            min_size=nc, max_size=nc))
+    mask = draw(st.lists(st.booleans(), min_size=nc, max_size=nc))
+    return (owners, base + np.asarray(offsets, dtype=float),
+            np.asarray(mask, dtype=bool), n)
+
+
+class TestStrategyExtraction:
+    """Segment-reduction extraction matches the scatter/unique oracle."""
+
+    @given(owner_grouped_choices(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, case, maximize: bool):
+        owners, q, mask, n = case
+        nc = owners.size
+        # Each choice self-loops, so with zero values the q-values are
+        # exactly the choice rewards.
+        cm = CompiledMDP(
+            num_states=n,
+            choice_state=owners,
+            choice_reward=q,
+            transitions=sparse.csr_matrix(
+                (np.ones(nc), (np.arange(nc), owners)), shape=(max(nc, 1), n)
+            ),
+            labels={},
+            initial=0,
+        )
+        got = _extract(cm, np.zeros(n), mask, q, maximize)
+        want = _extract_oracle(owners, q, mask, n, maximize)
+        np.testing.assert_array_equal(got, want)

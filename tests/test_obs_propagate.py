@@ -16,7 +16,9 @@ from repro.obs.journal import RunJournal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.propagate import WorkerCapture, capture_config, merge_telemetry
 
-WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
+#: The subject of these tests is the worker pool, which ``workers=1`` does
+#: not build, so ``REPRO_TEST_WORKERS`` below 2 still gets a 2-worker pool.
+WORKERS = max(2, int(os.environ.get("REPRO_TEST_WORKERS", "2")))
 
 W, H = 30, 16
 
